@@ -1,16 +1,17 @@
 """Experiment "LP backends": the sparse fraction-free core vs the dense one.
 
 Ψ_S is extremely sparse — every disequation couples one compound-class
-column to its entry's summands — so the dense all-``Fraction`` tableau
-(backend ``"exact"``) pays for a rectangle of zeros on every pivot.  The
-sparse fraction-free simplex (backend ``"exact-sparse"``) touches only
-nonzeros and keeps integer rows, and must therefore beat the dense core by
-a widening margin as |Ψ_S| grows, while producing **identical** support
-sets (the maximal acceptable support is unique).
+column to its entry's summands — so a dense all-``Fraction`` tableau (the
+test-only reference simplex, ``tests.dense_reference.DenseReference``)
+pays for a rectangle of zeros on every pivot.  The sparse fraction-free
+simplex (backend ``"exact-sparse"``) touches only nonzeros and keeps
+integer rows, and must therefore beat the dense core by a widening margin
+as |Ψ_S| grows, while producing **identical** support sets (the maximal
+acceptable support is unique).
 
 Two bars are asserted here and re-checked in CI:
 
-* the sparse backend is ≥3x faster than the dense exact backend on the
+* the sparse backend is ≥3x faster than the dense reference on the
   largest row both can afford in CI time (the committed ``BENCH_lp.json``
   records the full table, including the 10x-scaled row at 320 clusters);
 * hierarchy-flagged systems answer through the Section 4.4 closed form
@@ -29,8 +30,9 @@ from repro.linear.support import acceptable_support
 from repro.linear.system import build_system
 from repro.obs.tracer import Tracer
 from repro.workloads.generators import hierarchy_schema
+from tests.dense_reference import DenseReference
 
-#: The sparse backend must beat the dense exact backend by at least this
+#: The sparse backend must beat the dense reference by at least this
 #: factor on the comparison row — the CI speedup bar (measured margins are
 #: two orders of magnitude; 3x keeps the bar robust on noisy runners).
 SPEEDUP_BAR = 3.0
@@ -70,17 +72,17 @@ def test_sparse_beats_dense_exact(benchmark):
         sparse_s, sparse = timed(
             lambda: acceptable_support(system, backend="exact-sparse"))
         dense_s, dense = timed(
-            lambda: acceptable_support(system, backend="exact"))
+            lambda: acceptable_support(system, backend=DenseReference()))
         return sparse_s, dense_s, sparse, dense
 
     sparse_s, dense_s, sparse, dense = benchmark.pedantic(
         measure, rounds=1, iterations=1)
     print()
     print(render_table(
-        "LP backends — dense vs sparse exact "
+        "LP backends — dense reference vs sparse exact "
         f"({DENSE_COMPARISON_CLUSTERS} clusters, |Psi_S|={system.size()})",
         ["backend", "seconds"],
-        [("exact", dense_s), ("exact-sparse", sparse_s)]))
+        [("dense-reference", dense_s), ("exact-sparse", sparse_s)]))
 
     assert sparse.support == dense.support
     assert dense_s >= SPEEDUP_BAR * sparse_s, (

@@ -27,6 +27,8 @@ from pathlib import Path
 from typing import Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+# The repository root, for the dense reference simplex of tests/.
+sys.path.insert(1, str(Path(__file__).resolve().parent.parent))
 
 from benchlib import Recorder, best_of, render_table, timed
 
@@ -675,10 +677,13 @@ def registry_revalidation() -> None:
     from repro.reasoner.satisfiability import Reasoner as _Reasoner
     from repro.registry import SchemaRegistry
 
-    # Pin the exact LP core so the cold and delta sides solve with the
-    # same arithmetic: "auto" flips between exact and float by system
-    # size, which would compare backends, not pipelines.
-    config = EngineConfig(lp_backend="exact")
+    from tests.dense_reference import DenseReference
+
+    # Pin the LP core so the cold and delta sides solve with the same
+    # arithmetic: "auto" flips between exact and float by system size,
+    # which would compare backends, not pipelines.  BENCH_registry.json
+    # was measured on the dense reference.
+    config = EngineConfig(lp_backend=DenseReference())
 
     def single_cluster_edit(schema):
         names = sorted(d.name for d in schema.class_definitions
@@ -737,7 +742,7 @@ def registry_revalidation() -> None:
                      f"{stats['clusters_reused']}/{stats['clusters_total']}",
                      f"{stats['support_blocks_reused']}/{blocks_total}"))
     emit("Registry revalidation — single-cluster edit vs cold rebuild "
-         "(exact LP core, identical verdicts)",
+         "(dense reference LP core, identical verdicts)",
          ["clusters", "cold s", "delta s", "speedup", "clusters reused",
           "blocks reused/total"], rows)
 
@@ -871,6 +876,7 @@ def lp_backends() -> None:
     from repro.linear.backends import SparseExactBackend
     from repro.obs.tracer import Tracer
     from repro.workloads.generators import hierarchy_schema
+    from tests.dense_reference import DenseReference
 
     def cluster(i: int, fan: int):
         a, b = f"A{i}", f"B{i}"
@@ -890,14 +896,14 @@ def lp_backends() -> None:
         sparse_s, sparse = timed(
             lambda s=system: acceptable_support(s, backend="exact-sparse"))
         dense_s, dense = timed(
-            lambda s=system: acceptable_support(s, backend="exact"))
+            lambda s=system: acceptable_support(s, backend=DenseReference()))
         assert sparse.support == dense.support
         rows.append((n_clusters, system.size(), system.n_unknowns(),
                      dense_s, sparse_s, round(dense_s / max(sparse_s, 1e-9), 1)))
     emit(
-        "LP backends — dense exact vs sparse fraction-free on Psi_S",
-        ["clusters", "|Psi_S|", "unknowns", "exact s", "exact-sparse s",
-         "speedup"], rows)
+        "LP backends — dense reference vs sparse fraction-free on Psi_S",
+        ["clusters", "|Psi_S|", "unknowns", "dense-reference s",
+         "exact-sparse s", "speedup"], rows)
 
     rows = []
     for depth, branching in ((3, 3), (4, 3), (5, 3)):

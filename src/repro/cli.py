@@ -643,14 +643,8 @@ def _cmd_backends(args: argparse.Namespace) -> int:
                f"sparse={capabilities.sparse} "
                f"closed_form={capabilities.closed_form} "
                f"degeneracy={capabilities.degeneracy}")
-        if entry.parameters:
-            _write("  parameters: "
-                   + ", ".join(f"{entry.name}:{p}=..." for p in entry.parameters))
         if entry.aliases:
-            notes = [alias + (" (deprecated)"
-                              if alias in entry.deprecated_aliases else "")
-                     for alias in entry.aliases]
-            _write("  aliases: " + ", ".join(notes))
+            _write("  aliases: " + ", ".join(entry.aliases))
         _write()
     return 0
 
@@ -672,12 +666,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--strategy", default="auto",
                          choices=("auto", "naive", "strategic", "hierarchy"),
                          help="compound-class enumeration strategy")
-        sub.add_argument("--backend", default="auto", metavar="SPEC",
+        sub.add_argument("--backend", default="auto", metavar="NAME",
                          help="LP backend for the support computation: a "
-                              "registered name or parameterized spec "
-                              "(e.g. auto, exact, exact-sparse, "
-                              "float-fallback, auto:limit=500); see "
-                              "'repro backends'")
+                              "registered name (auto, exact-sparse, "
+                              "float-fallback); see 'repro backends'")
         sub.add_argument("--json", action="store_true",
                          help="print a machine-readable JSON document")
         sub.add_argument("--profile", action="store_true",
@@ -803,10 +795,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--strategy", default="auto",
                        choices=("auto", "naive", "strategic", "hierarchy"),
                        help="compound-class enumeration strategy")
-    serve.add_argument("--backend", default="auto", metavar="SPEC",
+    serve.add_argument("--backend", default="auto", metavar="NAME",
                        help="LP backend for the support computation: a "
-                            "registered name or parameterized spec (see "
-                            "'repro backends')")
+                            "registered name (see 'repro backends')")
     serve.add_argument("--json", action="store_true",
                        help=argparse.SUPPRESS)
     serve.add_argument("--profile", action="store_true",
@@ -929,7 +920,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args.session = _make_session(args)
     except LinearSystemError as error:
-        # An unknown/malformed --backend spec is a usage error (exit 2),
+        # An unknown --backend name is a usage error (exit 2),
         # same as a rejected argparse choice used to be.
         parser.error(str(error))
     try:

@@ -8,7 +8,7 @@ loops of the pipeline (DPLL branching in
 :func:`repro.expansion.enumerate.dpll_compound_classes`,
 compound-candidate enumeration in
 :mod:`repro.expansion.expansion`, simplex pivoting in
-:mod:`repro.linear.simplex`) call :meth:`Budget.tick` once per unit of
+:mod:`repro.linear.sparse`) call :meth:`Budget.tick` once per unit of
 work, and the budget raises :class:`~repro.core.errors.BudgetExceeded` as
 soon as either bound is crossed:
 

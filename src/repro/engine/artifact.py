@@ -99,7 +99,7 @@ def config_fingerprint(config: "EngineConfig") -> str:
     Only ``strategy`` and ``size_limit`` shape the stored stage products
     (they steer the compound-class enumeration); the LP knobs, the cache
     bounds, and the tracing switch do not, so configs differing only in
-    those share artifacts — e.g. the exact and float-fallback backends
+    those share artifacts — e.g. the exact-sparse and float-fallback backends
     rehydrate from the same file.
     """
     material = (f"v{ARTIFACT_SCHEMA_VERSION}"
@@ -120,7 +120,7 @@ class SupportSnapshot:
     a previous schema version's system into the new one).
 
     The maximal acceptable support is unique and backend-independent (the
-    differential suite pins exact and float-fallback to identical support
+    differential suite pins exact-sparse and float-fallback to identical support
     sets), so storing it does not fragment the artifact cache per backend
     the way storing raw LP state would.
     """

@@ -40,10 +40,10 @@ class EngineConfig:
         :class:`~repro.core.errors.ReasoningError` instead of running out
         of memory on adversarial schemas.
     lp_backend:
-        Registered LP backend answering the max-support rounds, by name or
-        parameterized spec (``"auto"``, ``"exact"``, ``"exact-sparse"``,
-        ``"float-fallback"``, ``"auto:limit=500"`` — see
-        :mod:`repro.linear.backends`).
+        LP backend answering the max-support rounds: a registered name
+        (``"auto"``, ``"exact-sparse"``, ``"float-fallback"`` — see
+        :mod:`repro.linear.backends`) or an
+        :class:`~repro.linear.backends.LpBackend` instance.
     incremental_augmented:
         Reuse the compound classes of clusters untouched by a query class
         when answering augmented (cross-cluster) queries.

@@ -9,17 +9,12 @@ replace the dicts:
 * :class:`SessionStats`  — one session's pipeline-cache counters.
 
 Both carry ``schema_version`` (:data:`STATS_SCHEMA_VERSION`) and render to
-plain JSON-able dicts via ``to_json()``.  For the transition they keep a
-``stats["key"]``-style ``__getitem__``/``__contains__`` shim that emits a
-:class:`DeprecationWarning` pointing at the attribute (and at ``to_json()``
-for whole-dict consumers); the shim understands the historical flat keys,
-including the ``time_<stage>`` timing entries.
+plain JSON-able dicts via ``to_json()``.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field, fields
 
 __all__ = ["STATS_SCHEMA_VERSION", "PipelineStats", "SessionStats"]
@@ -31,39 +26,8 @@ STATS_SCHEMA_VERSION = 1
 _TIME_PREFIX = "time_"
 
 
-class _DictCompatMixin:
-    """The deprecated dict-style access shim shared by both stats types."""
-
-    def _compat_lookup(self, key: str):
-        if key.startswith(_TIME_PREFIX):
-            timings = getattr(self, "timings", {})
-            if key[len(_TIME_PREFIX):] in timings:
-                return timings[key[len(_TIME_PREFIX):]]
-            raise KeyError(key)
-        if key == "schema_version":
-            raise KeyError(key)  # never a flat dict key historically
-        try:
-            return getattr(self, key)
-        except AttributeError:
-            raise KeyError(key) from None
-
-    def __getitem__(self, key: str):
-        warnings.warn(
-            f"dict-style access {type(self).__name__}[{key!r}] is "
-            f"deprecated; read the attribute directly or call .to_json()",
-            DeprecationWarning, stacklevel=2)
-        return self._compat_lookup(key)
-
-    def __contains__(self, key) -> bool:
-        warnings.warn(
-            f"dict-style membership tests on {type(self).__name__} are "
-            f"deprecated; read the attribute directly or call .to_json()",
-            DeprecationWarning, stacklevel=2)
-        try:
-            self._compat_lookup(key)
-        except (KeyError, TypeError):
-            return False
-        return True
+class _JsonTextMixin:
+    """The serialized ``to_json()`` shared by both stats types."""
 
     def to_json_text(self) -> str:
         """The ``to_json()`` document serialized with stable key order."""
@@ -71,7 +35,7 @@ class _DictCompatMixin:
 
 
 @dataclass(frozen=True)
-class PipelineStats(_DictCompatMixin):
+class PipelineStats(_JsonTextMixin):
     """Size and wall-clock measurements of one reasoning pipeline.
 
     The size fields mirror the paper's complexity parameters (schema size,
@@ -108,7 +72,7 @@ class PipelineStats(_DictCompatMixin):
 
 
 @dataclass(frozen=True)
-class SessionStats(_DictCompatMixin):
+class SessionStats(_JsonTextMixin):
     """A snapshot of one session's pipeline-cache counters."""
 
     hits: int

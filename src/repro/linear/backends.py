@@ -14,31 +14,27 @@ select one without importing its implementation.
 
 Registered backends:
 
-* ``"exact"`` — the dense two-phase rational simplex of
-  :mod:`repro.linear.simplex`.  Authoritative: every value is an exact
-  :class:`~fractions.Fraction`, so ``x > 0`` vs ``x = 0`` — the distinction
-  Theorem 3.3 hinges on — is decided without numerical doubt.  Kept as the
-  differential reference; the sparse core below is the production exact path.
 * ``"exact-sparse"`` — the sparse fraction-free (integer-preserving)
-  single-phase simplex of :mod:`repro.linear.sparse`, exploiting that
-  ``Ψ_S`` couples each compound attribute/relation only to its endpoint
-  classes and that the max-support LP is slack-basis feasible.  Same exact
-  verdicts as ``"exact"``, far less arithmetic; additionally answers
-  detected §4.4 hierarchies in closed form, with zero pivots.
-* ``"float-fallback"`` (deprecated alias ``"float"``) — tries ``scipy``'s
-  HiGHS solver in floating point first, snaps the result to small
-  rationals, and re-verifies every disequation exactly.  On degeneracy
-  (values too close to zero to classify), verification failure, or an
-  unavailable/failed float solve it falls back to the exact simplex, so its
-  verdicts are always identical to ``"exact"`` — a property the
-  differential test suite pins.
+  simplex of :mod:`repro.linear.sparse`, the package's one exact LP core.
+  Authoritative: every value is an exact rational, so ``x > 0`` vs
+  ``x = 0`` — the distinction Theorem 3.3 hinges on — is decided without
+  numerical doubt.  It exploits that ``Ψ_S`` couples each compound
+  attribute/relation only to its endpoint classes and that the max-support
+  LP is slack-basis feasible, and additionally answers detected §4.4
+  hierarchies in closed form, with zero pivots.
+* ``"float-fallback"`` — tries ``scipy``'s HiGHS solver in floating point
+  first, snaps the result to small rationals, and re-verifies every
+  disequation exactly.  On degeneracy (values too close to zero to
+  classify), verification failure, or an unavailable/failed float solve it
+  falls back to the sparse exact core, so its verdicts are always
+  identical to ``"exact-sparse"`` — a property the differential test suite
+  pins.
 * ``"auto"`` — the sparse exact core up to :data:`SPARSE_BACKEND_LIMIT` LP
-  columns (parameterizable: ``"auto:limit=500"``), ``"float-fallback"``
-  beyond; hierarchy systems take the closed form regardless of size.  The
-  limit sits at the measured sparse/float crossover (see
-  :data:`SPARSE_BACKEND_LIMIT`): the float-first core, exact verification
-  included, wins 5-45x on larger systems, so the cutoff is load-bearing,
-  not vestigial.
+  columns, ``"float-fallback"`` beyond; hierarchy systems take the closed
+  form regardless of size.  The limit sits at the measured sparse/float
+  crossover (see :data:`SPARSE_BACKEND_LIMIT`): the float-first core,
+  exact verification included, wins 5-45x on larger systems, so the cutoff
+  is load-bearing, not vestigial.
 
 **Capability contract.**  Every registered backend also answers
 ``capabilities()`` (a :class:`BackendCapabilities`: arithmetic kind,
@@ -49,12 +45,10 @@ Third-party backends may omit them — :func:`backend_capabilities` and
 declaring ``closed_form=True`` are handed the ``hierarchy=True`` hint by
 the support loop.
 
-**Backend selection specs.**  :func:`get_backend` accepts a bare name
-(``"exact-sparse"``), a parameterized spec (``"auto:limit=500"`` —
-``name:key=value,...`` routed to the backend's registered factory), or any
-object implementing the protocol; all three forms are valid wherever a
-backend is configured (``EngineConfig.lp_backend``, CLI ``--backend``,
-``acceptable_support(backend=...)``).
+**Backend selection.**  :func:`get_backend` accepts a registered name
+(``"exact-sparse"``) or any object implementing the protocol; both forms
+are valid wherever a backend is configured (``EngineConfig.lp_backend``,
+``acceptable_support(backend=...)``; the CLI ``--backend`` takes names).
 
 All backends return the same :class:`RoundSolution` shape, and because the
 maximal acceptable support is *unique* (solutions of the homogeneous system
@@ -64,13 +58,11 @@ are closed under addition), any sound backend must produce the same
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Protocol, Sequence, runtime_checkable
+from typing import Optional, Protocol, Sequence, runtime_checkable
 
 from ..core.errors import LinearSystemError
-from .simplex import OPTIMAL, solve_lp
 from .sparse import hierarchy_witness, solve_max_support_sparse
 from .system import PsiSystem
 
@@ -78,18 +70,18 @@ __all__ = [
     "LpBackend", "RoundSolution", "BackendCapabilities",
     "BackendDescription", "backend_capabilities", "describe_backend",
     "register_backend", "get_backend", "available_backends",
-    "ExactBackend", "SparseExactBackend", "FloatFallbackBackend",
+    "SparseExactBackend", "FloatFallbackBackend",
     "AutoBackend", "EXACT_BACKEND_LIMIT", "SPARSE_BACKEND_LIMIT",
     "METRIC_KEYS", "bump_metric",
 ]
 
-#: Column-count threshold below which the *dense* exact core is considered
-#: affordable (used by the float path's witness repair).
+#: Column-count threshold below which an exact re-solve is attempted for the
+#: float path's witness repair and for witness minimization.
 EXACT_BACKEND_LIMIT = 60
 
 #: Column-count threshold below which ``"auto"`` stays with the sparse
 #: exact core; beyond it the float-first path (still exactly verified)
-#: takes over.  Parameterizable per selection via ``"auto:limit=N"``.
+#: takes over.
 #:
 #: The value is the *measured* crossover, not a guess.  On the ratio-
 #: cluster sweep (the Theorem 4.3 workload scaled up) the two cores are
@@ -106,10 +98,9 @@ SPARSE_BACKEND_LIMIT = 400
 #: support loop forwards them verbatim to the observability bus, where
 #: ``lp.rounds`` and the ``support.pins_*`` tallies join them.
 #:
-#: * ``lp.exact_solves`` / ``lp.sparse_solves`` / ``lp.float_solves`` —
-#:   solver invocations by arithmetic core (dense exact, sparse exact,
-#:   HiGHS float);
-#: * ``lp.pivots`` — simplex pivots, dense and sparse combined;
+#: * ``lp.sparse_solves`` / ``lp.float_solves`` — solver invocations by
+#:   arithmetic core (sparse exact, HiGHS float);
+#: * ``lp.pivots`` — simplex pivots;
 #: * ``lp.hierarchy_closed_form`` — rounds answered by the §4.4 closed
 #:   form, no solver invoked;
 #: * ``lp.degenerate_detections`` — float solutions inside the ambiguity
@@ -119,7 +110,6 @@ SPARSE_BACKEND_LIMIT = 400
 #: * ``lp.rationalize_repairs`` — float witnesses repaired by a restricted
 #:   exact re-solve.
 METRIC_KEYS = frozenset({
-    "lp.exact_solves",
     "lp.sparse_solves",
     "lp.float_solves",
     "lp.pivots",
@@ -149,7 +139,7 @@ class RoundSolution:
     (concentrated on one representative per interchangeable group);
     ``supported`` holds the unknowns that can be positive; ``backend_used``
     names the arithmetic core that actually produced the numbers
-    (``"exact"``, ``"exact-sparse"``, ``"float"``, ``"closed-form"`` for a
+    (``"exact-sparse"``, ``"float"``, ``"closed-form"`` for a
     §4.4 answer, or ``"propagation"`` when no LP was needed).  ``metrics``
     carries the round's arithmetic-work counters, drawn from the documented
     :data:`METRIC_KEYS` schema, which
@@ -191,19 +181,12 @@ class BackendCapabilities:
 @dataclass(frozen=True)
 class BackendDescription:
     """One registry entry, described: what :func:`available_backends`
-    returns instead of bare alias strings.
-
-    ``parameters`` names the keys a ``"name:key=value"`` spec accepts
-    (empty for unparameterized backends); ``deprecated_aliases`` the
-    aliases that still resolve but warn.
-    """
+    returns instead of bare alias strings."""
 
     name: str
     aliases: tuple[str, ...]
     summary: str
     capabilities: BackendCapabilities
-    parameters: tuple[str, ...] = ()
-    deprecated_aliases: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
         return {
@@ -211,8 +194,6 @@ class BackendDescription:
             "aliases": list(self.aliases),
             "summary": self.summary,
             "capabilities": self.capabilities.as_dict(),
-            "parameters": list(self.parameters),
-            "deprecated_aliases": list(self.deprecated_aliases),
         }
 
 
@@ -347,83 +328,25 @@ def _concentrated(groups, values, backend_used: str,
 
 
 # ----------------------------------------------------------------------
-# Exact cores (dense reference, sparse production path)
+# The exact core
 # ----------------------------------------------------------------------
-def solve_exact_groups(groups, rows,
-                       metrics: Optional[dict[str, int]] = None
-                       ) -> list[Fraction]:
-    """The max-support LP over grouped columns, solved by the dense core.
+def solve_sparse_groups(groups, rows,
+                        metrics: Optional[dict[str, int]] = None
+                        ) -> list[Fraction]:
+    """The max-support LP over grouped columns, solved by the sparse core.
 
-    ``metrics`` (optional) receives ``lp.exact_solves`` and ``lp.pivots``.
+    ``metrics`` (optional) receives ``lp.sparse_solves`` and ``lp.pivots``.
     """
-    k = len(groups)
-    width = 2 * k
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
-    for row in rows:
-        dense = [Fraction(0)] * width
-        for g, coeff in row.items():
-            dense[g] = coeff
-        a_ub.append(dense)
-        b_ub.append(Fraction(0))
-    for g in range(k):
-        dense = [Fraction(0)] * width
-        dense[g] = Fraction(-1)
-        dense[k + g] = Fraction(1)
-        a_ub.append(dense)            # t_g - x_g ≤ 0
-        b_ub.append(Fraction(0))
-        dense = [Fraction(0)] * width
-        dense[k + g] = Fraction(1)
-        a_ub.append(dense)            # t_g ≤ 1
-        b_ub.append(Fraction(1))
-    objective = [Fraction(0)] * k + [Fraction(1)] * k
-    result = solve_lp(objective, a_ub, b_ub, maximize=True)
-    bump_metric(metrics, "lp.exact_solves")
-    bump_metric(metrics, "lp.pivots", result.pivots)
-    if result.status != OPTIMAL:
-        raise LinearSystemError(
-            f"max-support LP ended with status {result.status}; it is "
-            "feasible at zero and bounded, this cannot happen")
-    return list(result.solution[:k])
-
-
-class ExactBackend:
-    """The dense exact-Fraction simplex: authoritative, no numerical doubt.
-
-    Retained as the differential reference the sparse core is pinned
-    against; deployments wanting the exact path should prefer
-    ``"exact-sparse"``.
-    """
-
-    name = "exact"
-
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            arithmetic="exact-rational", sparse=False, closed_form=False,
-            degeneracy="bland-anticycling")
-
-    def describe(self) -> BackendDescription:
-        return BackendDescription(
-            name=self.name, aliases=(),
-            summary="dense two-phase rational simplex (reference core)",
-            capabilities=self.capabilities())
-
-    def solve(self, system: PsiSystem, positive_indices: Sequence[int], *,
-              merge_columns: bool = True) -> RoundSolution:
-        groups, rows = grouped_columns(system, positive_indices, merge_columns)
-        if not groups:
-            return RoundSolution({}, frozenset(), "propagation")
-        metrics: dict[str, int] = {}
-        return _concentrated(groups,
-                             solve_exact_groups(groups, rows, metrics),
-                             self.name, metrics)
+    values, pivots = solve_max_support_sparse(groups, rows)
+    bump_metric(metrics, "lp.sparse_solves")
+    bump_metric(metrics, "lp.pivots", pivots)
+    return values
 
 
 class SparseExactBackend:
     """The sparse fraction-free simplex plus the §4.4 closed form.
 
-    Same exact verdicts as :class:`ExactBackend` — the differential suite
-    pins them — produced by the column-indexed integer-preserving solver of
+    Exact verdicts from the column-indexed integer-preserving solver of
     :mod:`repro.linear.sparse`.  When the caller flags the system as a
     detected generalization hierarchy, the backend first tries the
     construct-and-verify closed form and answers without any simplex at
@@ -440,8 +363,8 @@ class SparseExactBackend:
     def describe(self) -> BackendDescription:
         return BackendDescription(
             name=self.name, aliases=(),
-            summary="sparse fraction-free single-phase simplex with the "
-                    "§4.4 hierarchy closed form",
+            summary="sparse fraction-free simplex with the §4.4 "
+                    "hierarchy closed form",
             capabilities=self.capabilities())
 
     def solve(self, system: PsiSystem, positive_indices: Sequence[int], *,
@@ -458,10 +381,8 @@ class SparseExactBackend:
 
     def _solve_grouped(self, groups, rows) -> RoundSolution:
         metrics: dict[str, int] = {}
-        values, pivots = solve_max_support_sparse(groups, rows)
-        bump_metric(metrics, "lp.sparse_solves")
-        bump_metric(metrics, "lp.pivots", pivots)
-        return _concentrated(groups, values, self.name, metrics)
+        return _concentrated(groups, solve_sparse_groups(groups, rows, metrics),
+                             self.name, metrics)
 
 
 def _closed_form_round(system: PsiSystem,
@@ -558,7 +479,7 @@ def repair_float_witness(groups, rows, values,
         if touched:
             restricted_rows.append(touched)
     sub_groups = [groups[g] for g in support_cols]
-    sub_values = solve_exact_groups(sub_groups, restricted_rows, metrics)
+    sub_values = solve_sparse_groups(sub_groups, restricted_rows, metrics)
     if any(value <= 0 for value in sub_values):
         return None  # exact disagrees with the float support; caller redoes
     bump_metric(metrics, "lp.rationalize_repairs")
@@ -573,7 +494,7 @@ class FloatFallbackBackend:
 
     The HiGHS optimum is snapped to small rationals and re-verified against
     every disequation *exactly*; only a verified certificate is accepted.
-    The exact simplex takes over whenever the float path is unavailable,
+    The sparse exact core takes over whenever the float path is unavailable,
     fails, or is **degenerate**: a raw value inside the ambiguity band
     ``(degenerate_low, degenerate_high)`` is too close to zero to classify
     as supported-vs-pinned, the very distinction the method rests on.
@@ -592,11 +513,10 @@ class FloatFallbackBackend:
 
     def describe(self) -> BackendDescription:
         return BackendDescription(
-            name=self.name, aliases=("float",),
+            name=self.name, aliases=(),
             summary="HiGHS float-first with exact re-verification and an "
                     "exact safety net",
-            capabilities=self.capabilities(),
-            deprecated_aliases=("float",))
+            capabilities=self.capabilities())
 
     def _degenerate(self, floats: list[float]) -> bool:
         return any(self.degenerate_low < value < self.degenerate_high
@@ -632,8 +552,8 @@ class FloatFallbackBackend:
         if values is None:
             bump_metric(metrics, "lp.float_exact_fallbacks")
             return _concentrated(groups,
-                                 solve_exact_groups(groups, rows, metrics),
-                                 "exact", metrics)
+                                 solve_sparse_groups(groups, rows, metrics),
+                                 SparseExactBackend.name, metrics)
         return _concentrated(groups, values, "float", metrics)
 
 
@@ -650,11 +570,7 @@ class AutoBackend:
 
     name = "auto"
 
-    def __init__(self, limit: int = SPARSE_BACKEND_LIMIT):
-        if limit < 1:
-            raise LinearSystemError(
-                f"auto backend limit must be positive, got {limit}")
-        self._limit = limit
+    def __init__(self):
         self._sparse = SparseExactBackend()
         self._float = FloatFallbackBackend()
 
@@ -666,10 +582,9 @@ class AutoBackend:
     def describe(self) -> BackendDescription:
         return BackendDescription(
             name=self.name, aliases=(),
-            summary=f"exact-sparse up to {self._limit} LP columns, "
+            summary=f"exact-sparse up to {SPARSE_BACKEND_LIMIT} LP columns, "
                     "float-fallback beyond",
-            capabilities=self.capabilities(),
-            parameters=("limit",))
+            capabilities=self.capabilities())
 
     def solve(self, system: PsiSystem, positive_indices: Sequence[int], *,
               merge_columns: bool = True,
@@ -681,7 +596,7 @@ class AutoBackend:
         groups, rows = grouped_columns(system, positive_indices, merge_columns)
         if not groups:
             return RoundSolution({}, frozenset(), "propagation")
-        if len(groups) <= self._limit:
+        if len(groups) <= SPARSE_BACKEND_LIMIT:
             return self._sparse._solve_grouped(groups, rows)
         return self._float._solve_grouped(groups, rows)
 
@@ -690,92 +605,31 @@ class AutoBackend:
 # The registry
 # ----------------------------------------------------------------------
 _REGISTRY: dict[str, LpBackend] = {}
-_FACTORIES: dict[str, Callable[..., LpBackend]] = {}
-_DEPRECATED_ALIASES: dict[str, str] = {}
 
 
-def register_backend(backend: LpBackend, *aliases: str,
-                     factory: Optional[Callable[..., LpBackend]] = None,
-                     deprecated_aliases: Optional[dict[str, str]] = None
-                     ) -> LpBackend:
-    """Register ``backend`` under its ``name`` plus any ``aliases``.
-
-    ``factory`` (optional) enables parameterized ``"name:key=value"``
-    specs: it is called with the parsed keyword arguments and must return
-    a backend instance.  ``deprecated_aliases`` maps legacy alias names to
-    the :class:`DeprecationWarning` message emitted when they resolve.
-    """
+def register_backend(backend: LpBackend, *aliases: str) -> LpBackend:
+    """Register ``backend`` under its ``name`` plus any ``aliases``."""
     for name in (backend.name, *aliases):
         _REGISTRY[name] = backend
-    if factory is not None:
-        _FACTORIES[backend.name] = factory
-    for alias, message in (deprecated_aliases or {}).items():
-        _REGISTRY[alias] = backend
-        _DEPRECATED_ALIASES[alias] = message
     return backend
-
-
-def _parse_spec_params(name: str, params: str) -> dict:
-    """``"limit=500,flag=true"`` → ``{"limit": 500, "flag": True}``."""
-    parsed: dict = {}
-    for item in params.split(","):
-        key, sep, value = item.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not sep or not key or not value:
-            raise LinearSystemError(
-                f"malformed backend spec parameter {item!r} in "
-                f"{name}:{params!r}; expected key=value[,key=value...]")
-        if value.lstrip("-").isdigit():
-            parsed[key] = int(value)
-        elif value.lower() in ("true", "false"):
-            parsed[key] = value.lower() == "true"
-        else:
-            parsed[key] = value
-    return parsed
-
-
-def _unknown_backend(name: str) -> LinearSystemError:
-    known = ", ".join(sorted(_REGISTRY))
-    return LinearSystemError(
-        f"unknown LP backend {name!r}; available: {known}")
 
 
 def get_backend(backend: "str | LpBackend") -> LpBackend:
     """Resolve a backend selection to an instance.
 
-    Accepts a registry name (``"exact-sparse"``), a parameterized spec
-    (``"auto:limit=500"`` — routed to the backend's registered factory),
-    or any object implementing the :class:`LpBackend` protocol (passed
-    through).  Deprecated aliases resolve with a
-    :class:`DeprecationWarning`; unknown names, unparameterizable
-    backends, and malformed or rejected parameters raise
+    Accepts a registry name (``"exact-sparse"``) or any object implementing
+    the :class:`LpBackend` protocol (passed through).  Unknown names and
+    objects missing the protocol raise
     :class:`~repro.core.errors.LinearSystemError`.
     """
     if isinstance(backend, str):
-        name, _, params = backend.partition(":")
-        if name in _DEPRECATED_ALIASES:
-            warnings.warn(_DEPRECATED_ALIASES[name], DeprecationWarning,
-                          stacklevel=2)
-        if params:
-            canonical = _REGISTRY.get(name)
-            if canonical is None:
-                raise _unknown_backend(name)
-            factory = _FACTORIES.get(canonical.name)
-            if factory is None:
-                raise LinearSystemError(
-                    f"LP backend {canonical.name!r} takes no spec "
-                    f"parameters (got {backend!r})")
-            try:
-                return factory(**_parse_spec_params(name, params))
-            except TypeError as exc:
-                raise LinearSystemError(
-                    f"bad parameters for LP backend spec {backend!r}: "
-                    f"{exc}") from None
         try:
-            return _REGISTRY[name]
+            return _REGISTRY[backend]
         except KeyError:
-            raise _unknown_backend(name) from None
+            known = ", ".join(sorted(_REGISTRY))
+            raise LinearSystemError(
+                f"unknown LP backend {backend!r}; available: {known}"
+            ) from None
     if not isinstance(backend, LpBackend):
         raise LinearSystemError(
             f"object {backend!r} does not implement the LpBackend protocol")
@@ -785,9 +639,8 @@ def get_backend(backend: "str | LpBackend") -> LpBackend:
 def available_backends() -> tuple[BackendDescription, ...]:
     """Every registered backend, described, sorted by canonical name.
 
-    Aliases fold into their canonical entry's ``aliases`` /
-    ``deprecated_aliases`` instead of appearing as separate rows (the
-    pre-redesign API returned every alias as a bare string).
+    Aliases fold into their canonical entry's ``aliases`` instead of
+    appearing as separate rows.
     """
     by_identity: dict[int, list[str]] = {}
     canonical: dict[int, LpBackend] = {}
@@ -800,25 +653,13 @@ def available_backends() -> tuple[BackendDescription, ...]:
         description = describe_backend(backend)
         aliases = tuple(sorted(set(by_identity.get(key, ()))
                         | set(description.aliases)))
-        deprecated = tuple(sorted(
-            alias for alias in aliases if alias in _DEPRECATED_ALIASES))
         entries.append(BackendDescription(
             name=description.name, aliases=aliases,
             summary=description.summary,
-            capabilities=description.capabilities,
-            parameters=description.parameters,
-            deprecated_aliases=deprecated))
+            capabilities=description.capabilities))
     return tuple(sorted(entries, key=lambda entry: entry.name))
 
 
-register_backend(ExactBackend())
 register_backend(SparseExactBackend())
-#: ``"float"`` is the historical name of the float-first path; it still
-#: resolves, with a DeprecationWarning pointing at ``"float-fallback"``.
-register_backend(
-    FloatFallbackBackend(),
-    deprecated_aliases={
-        "float": 'LP backend alias "float" is deprecated; use '
-                 '"float-fallback" (e.g. EngineConfig('
-                 'lp_backend="float-fallback"))'})
-register_backend(AutoBackend(), factory=AutoBackend)
+register_backend(FloatFallbackBackend())
+register_backend(AutoBackend())

@@ -28,7 +28,8 @@ from fractions import Fraction
 from typing import Optional
 
 from ..core.errors import LinearSystemError, ReasoningError
-from .simplex import INFEASIBLE, UNBOUNDED, solve_lp
+from .backends import grouped_columns
+from .sparse import INFEASIBLE, UNBOUNDED, solve_sparse_lp
 from .support import SupportResult
 
 __all__ = ["RatioBounds", "population_ratio_bounds"]
@@ -60,25 +61,6 @@ class RatioBounds:
                 f"∈ [{self.lower}, {upper}]")
 
 
-def _grouped_restriction(support: SupportResult, columns: list[int]):
-    """Merge interchangeable columns (identical constraint signatures) and
-    return ``(groups, dense_rows)`` over the supported unknowns.
-
-    Valid here because the ratio objective and the normalization row only
-    weight compound-class unknowns, which stay in singleton groups.
-    """
-    from .backends import grouped_columns
-
-    groups, sparse_rows = grouped_columns(support.system, columns)
-    rows: list[list[Fraction]] = []
-    for sparse in sparse_rows:
-        row = [Fraction(0)] * len(groups)
-        for g, coeff in sparse.items():
-            row[g] = coeff
-        rows.append(row)
-    return groups, rows
-
-
 def population_ratio_bounds(support: SupportResult, numerator: str,
                             denominator: str) -> RatioBounds:
     """Exact bounds on ``|numerator| / |denominator|`` across all models.
@@ -98,34 +80,39 @@ def population_ratio_bounds(support: SupportResult, numerator: str,
         if name not in schema.class_symbols:
             raise ReasoningError(f"class {name!r} does not occur in the schema")
 
-    groups, rows = _grouped_restriction(support, columns)
+    # Merging interchangeable columns is valid here because the ratio
+    # objective and the normalization row only weight compound-class
+    # unknowns, which stay in singleton groups.
+    groups, rows = grouped_columns(system, columns)
 
-    def class_weights(name: str) -> list[Fraction]:
-        weights = []
-        for members in groups:
+    def class_weights(name: str) -> dict[int, int]:
+        weights = {}
+        for g, members in enumerate(groups):
             inside = sum(
                 1 for var in members
                 if isinstance(system.unknowns[var], frozenset)
                 and name in system.unknowns[var])
-            weights.append(Fraction(inside))
+            if inside:
+                weights[g] = inside
         return weights
 
     numerator_weights = class_weights(numerator)
     denominator_weights = class_weights(denominator)
-    if not any(denominator_weights):
+    if not denominator_weights:
         raise ReasoningError(
             f"class {denominator!r} is unsatisfiable; the ratio is undefined")
 
     rhs = [Fraction(0)] * len(rows)
     # Normalization Σ denominator = 1 as two inequalities.
-    rows.append(list(denominator_weights))
+    rows.append(denominator_weights)
     rhs.append(Fraction(1))
-    rows.append([-w for w in denominator_weights])
+    rows.append({g: -w for g, w in denominator_weights.items()})
     rhs.append(Fraction(-1))
 
     outcomes = {}
     for sense, maximize in (("max", True), ("min", False)):
-        result = solve_lp(numerator_weights, rows, rhs, maximize=maximize)
+        result = solve_sparse_lp(numerator_weights, rows, rhs, len(groups),
+                                 maximize=maximize)
         if result.status == INFEASIBLE:
             raise LinearSystemError(
                 "normalized system infeasible although the denominator is "

@@ -1,13 +1,19 @@
-"""Sparse fraction-free Phase-2 simplex and the §4.4 closed form.
+"""The exact LP core: a sparse fraction-free simplex, plus the §4.4 closed form.
+
+Phase 2 of the paper's method reduces class satisfiability to the existence
+of particular solutions of a homogeneous system of linear disequations
+(Theorem 3.3), decided "using linear programming techniques" (Theorem 4.3).
+Floating-point LP cannot be trusted to distinguish ``x > 0`` from ``x = 0``
+— the very distinction the method hinges on — so every exact solve in the
+package runs here, in integer arithmetic, on problems of the form::
+
+    maximize    c · x
+    subject to  A x ≤ b,   x ≥ 0
 
 ``Ψ_S`` is extremely sparse: acceptability couples each compound
 attribute/relation only to its endpoint classes, and every ``Natt``/``Nrel``
-entry touches one compound-class column plus its summands.  The dense
-all-:class:`~fractions.Fraction` tableau of :mod:`repro.linear.simplex`
-ignores that structure — every pivot rewrites the full ``m × (n+m)``
-rectangle and every entry pays a gcd inside ``Fraction`` arithmetic.
-
-This module keeps the tableau **sparse and integer**:
+entry touches one compound-class column plus its summands.  So the tableau
+is kept **sparse and integer**:
 
 * each row is a ``{column: int numerator}`` dict with one positive integer
   denominator shared by the whole row (the right-hand side shares it too);
@@ -17,12 +23,16 @@ This module keeps the tableau **sparse and integer**:
   cross-multiplication ``row_i·p - a_ic·row_r`` followed by **one** gcd
   normalization per updated row, instead of a gcd per arithmetic operation.
 
-The max-support LP (maximize ``Σ t_g`` s.t. ``Ψ rows``, ``t_g ≤ x_g``,
-``t_g ≤ 1``) has a nonnegative right-hand side throughout, so the slack
-basis is primal feasible from the start: **no Phase 1, no artificial
-variables** — a single run of Bland-rule primal simplex suffices, which is
-the structural reason this solver can skip half of what the dense two-phase
-core does.
+Bland's rule guarantees termination.  Rows with a negative right-hand side
+need the textbook feasibility phase of two-phase simplex (unrelated to the
+paper's Phase 1): they are negated and get an artificial column, which the
+feasibility phase drives to zero and then drops.  The max-support LP
+(maximize ``Σ t_g`` s.t. ``Ψ rows``, ``t_g ≤ x_g``, ``t_g ≤ 1``) has a
+nonnegative right-hand side throughout, so its slack basis is primal
+feasible from the start: **no artificial columns**, a single run of primal
+simplex.  The ratio bounds of :mod:`repro.linear.ratios` and the witness
+minimization of :mod:`repro.linear.support` (lower bounds ``x ≥ 1``) are
+the callers that need the feasibility phase.
 
 The second short-circuit is Section 4.4: for detected generalization
 hierarchies the support question has a closed-form answer.  After the
@@ -37,6 +47,7 @@ correct LP answer via the normal solver.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -46,17 +57,41 @@ from ..core.cardinality import INFINITY
 from ..core.errors import LinearSystemError
 from .system import PsiSystem, bound_entries
 
-__all__ = ["SparseTableau", "solve_max_support_sparse", "hierarchy_witness"]
+__all__ = [
+    "LpResult", "OPTIMAL", "UNBOUNDED", "INFEASIBLE", "solve_lp",
+    "solve_sparse_lp", "SparseTableau", "solve_max_support_sparse",
+    "hierarchy_witness",
+]
+
+OPTIMAL = "optimal"
+UNBOUNDED = "unbounded"
+INFEASIBLE = "infeasible"
+
+
+@dataclass(frozen=True)
+class LpResult:
+    """Outcome of an LP solve.
+
+    ``solution`` and ``objective`` are exact rationals, present only for
+    ``status == OPTIMAL``.  ``pivots`` counts the tableau pivots performed,
+    feasibility phase included — the arithmetic work metric the
+    observability bus reports as ``lp.pivots``.
+    """
+
+    status: str
+    objective: Optional[Fraction] = None
+    solution: Optional[tuple[Fraction, ...]] = None
+    pivots: int = 0
 
 
 class SparseTableau:
-    """A sparse, fraction-free simplex tableau for ``max c·x, Ax ≤ b, x ≥ 0``
-    with ``b ≥ 0`` (slack basis feasible — single-phase).
+    """A sparse, fraction-free simplex tableau for ``max c·x, Ax ≤ b, x ≥ 0``.
 
-    ``rows``/``rhs`` are integer; slack columns ``n_structural + i`` are
-    appended internally.  Row ``i`` represents the rational row
-    ``num[i][j] / den[i]`` with ``den[i] > 0``; ``rhs[i]`` shares the
-    denominator, which cancels out of both the ratio test
+    ``rows``/``rhs``/``objective`` are integer; slack columns
+    ``n_structural + i`` are appended internally, and artificial columns
+    after those for rows with ``b_i < 0``.  Row ``i`` represents the
+    rational row ``num[i][j] / den[i]`` with ``den[i] > 0``; ``rhs[i]``
+    shares the denominator, which cancels out of both the ratio test
     (``rhs[i]/num[i][c]``) and the basic-variable readout — the simplex
     never builds a :class:`~fractions.Fraction` until the final solution.
     """
@@ -67,25 +102,38 @@ class SparseTableau:
         if len(rhs) != m:
             raise LinearSystemError(
                 f"{m} constraint rows but {len(rhs)} right-hand sides")
-        if any(value < 0 for value in rhs):
-            raise LinearSystemError(
-                "SparseTableau requires b ≥ 0 (slack-basis feasibility)")
         self.n_structural = n_structural
         self.num: list[dict[int, int]] = []
         self.den: list[int] = [1] * m
         self.rhs: list[int] = list(rhs)
         self.basis: list[int] = []
         self.cols: dict[int, set[int]] = {}
+        #: Columns from here on are artificial (feasibility phase only).
+        self.first_artificial = n_structural + m
+        artificial = self.first_artificial
         for i, row in enumerate(rows):
             stored = {j: v for j, v in row.items() if v}
             stored[n_structural + i] = 1  # the slack column
+            if rhs[i] < 0:
+                # -row·x - s = -b > 0, made basic by an artificial column.
+                stored = {j: -v for j, v in stored.items()}
+                stored[artificial] = 1
+                self.rhs[i] = -rhs[i]
+                self.basis.append(artificial)
+                artificial += 1
+            else:
+                self.basis.append(n_structural + i)
             self.num.append(stored)
-            self.basis.append(n_structural + i)
             for j in stored:
                 self.cols.setdefault(j, set()).add(i)
-        # Reduced costs: the slack basis has zero cost, so c - z == c.
-        self.obj_num: dict[int, int] = {j: v for j, v in objective.items() if v}
+        self._objective = {j: v for j, v in objective.items() if v}
+        # Reduced costs, as obj_num / obj_den.  With artificial columns the
+        # feasibility phase maximizes -Σ artificials first.
+        self.obj_num: dict[int, int] = (
+            dict.fromkeys(range(self.first_artificial, artificial), -1)
+            if artificial > self.first_artificial else dict(self._objective))
         self.obj_den: int = 1
+        self._price_out()
         self.pivots = 0
 
     # ------------------------------------------------------------------
@@ -143,49 +191,62 @@ class SparseTableau:
             new_rhs = self.rhs[i] * prc - nic * rhs_r
             new_den = self.den[i] * prc
             self.rhs[i], self.den[i] = self._normalize(row_i, new_rhs, new_den)
-        oc = self.obj_num.get(c)
-        if oc:
-            obj = self.obj_num
-            for j in obj:
-                obj[j] *= prc
-            for j, vrj in row_r.items():
-                delta = oc * vrj
-                cur = obj.get(j)
-                if cur is None:
-                    obj[j] = -delta
-                else:
-                    new = cur - delta
-                    if new:
-                        obj[j] = new
-                    else:
-                        del obj[j]
-            new_den = self.obj_den * prc
-            if new_den < 0:
-                new_den = -new_den
-                for j in obj:
-                    obj[j] = -obj[j]
-            g = new_den
-            for value in obj.values():
-                if g == 1:
-                    break
-                g = gcd(g, value)
-            if g > 1:
-                new_den //= g
-                for j in obj:
-                    obj[j] //= g
-            self.obj_den = new_den
+        if self.obj_num.get(c):
+            self._eliminate_from_objective(r, c)
         self.basis[r] = c
         self.pivots += 1
 
-    def run(self) -> None:
-        """Primal simplex with Bland's rule until optimality.
+    def _price_out(self) -> None:
+        """Zero the reduced costs of the basic columns."""
+        for r, var in enumerate(self.basis):
+            if self.obj_num.get(var):
+                self._eliminate_from_objective(r, var)
+
+    def _eliminate_from_objective(self, r: int, c: int) -> None:
+        """Zero the reduced cost of column ``c`` using row ``r``."""
+        prc = self.num[r][c]
+        oc = self.obj_num[c]
+        obj = self.obj_num
+        for j in obj:
+            obj[j] *= prc
+        for j, vrj in self.num[r].items():
+            delta = oc * vrj
+            cur = obj.get(j)
+            if cur is None:
+                obj[j] = -delta
+            else:
+                new = cur - delta
+                if new:
+                    obj[j] = new
+                else:
+                    del obj[j]
+        new_den = self.obj_den * prc
+        if new_den < 0:
+            new_den = -new_den
+            for j in obj:
+                obj[j] = -obj[j]
+        g = new_den
+        for value in obj.values():
+            if g == 1:
+                break
+            g = gcd(g, value)
+        if g > 1:
+            new_den //= g
+            for j in obj:
+                obj[j] //= g
+        self.obj_den = new_den
+
+    def run(self) -> str:
+        """Primal simplex with Bland's rule; returns OPTIMAL or UNBOUNDED.
 
         Entering: the smallest column with positive reduced cost (the sign
         of the integer numerator — ``obj_den > 0`` is an invariant).
         Leaving: the minimum-ratio row, ties broken toward the smallest
         basic variable; ratios compare by integer cross-multiplication.
-        Each iteration ticks the ambient budget, so deadlines and step
-        bounds interrupt long pivot sequences exactly as in the dense core.
+        Each iteration ticks the ambient
+        :class:`~repro.core.budget.Budget`, so a deadline or step bound
+        interrupts long pivot sequences with
+        :class:`~repro.core.errors.BudgetExceeded`.
         """
         tick = current_budget().tick
         while True:
@@ -193,7 +254,7 @@ class SparseTableau:
             entering = min(
                 (j for j, v in self.obj_num.items() if v > 0), default=-1)
             if entering < 0:
-                return
+                return OPTIMAL
             leaving = -1
             best_num = best_den = 0  # best ratio = best_num / best_den
             for i in self.cols.get(entering, ()):  # only rows with the column
@@ -212,10 +273,49 @@ class SparseTableau:
                 if better:
                     leaving, best_num, best_den = i, self.rhs[i], coeff
             if leaving < 0:
-                raise LinearSystemError(
-                    "max-support LP is unbounded; it is bounded by "
-                    "construction (t ≤ 1), this cannot happen")
+                return UNBOUNDED
             self.pivot(leaving, entering)
+
+    def feasible(self) -> bool:
+        """The feasibility phase: False when ``Ax ≤ b, x ≥ 0`` is empty.
+
+        Without artificial columns (``b ≥ 0``) this returns at once.
+        Otherwise it maximizes ``-Σ artificials``; a positive artificial
+        left at the optimum proves infeasibility.  Artificials still basic
+        at zero are pivoted out (a row with no other entry is redundant and
+        goes), the artificial columns are dropped, and the true objective
+        is priced out against the feasible basis.
+        """
+        first = self.first_artificial
+        if not any(var >= first for var in self.basis):
+            return True
+        self.run()  # bounded: the objective is at most zero
+        if any(var >= first and self.rhs[i]
+               for i, var in enumerate(self.basis)):
+            return False
+        for r, var in enumerate(self.basis):
+            if var < first:
+                continue
+            col = min((j for j in self.num[r] if j < first), default=-1)
+            if col < 0:
+                continue
+            if self.num[r][col] < 0:  # rhs is zero: negating keeps it so
+                self.num[r] = {j: -v for j, v in self.num[r].items()}
+            self.pivot(r, col)
+        keep = [i for i, var in enumerate(self.basis) if var < first]
+        self.num = [{j: v for j, v in self.num[i].items() if j < first}
+                    for i in keep]
+        self.den = [self.den[i] for i in keep]
+        self.rhs = [self.rhs[i] for i in keep]
+        self.basis = [self.basis[i] for i in keep]
+        self.cols = {}
+        for i, row in enumerate(self.num):
+            for j in row:
+                self.cols.setdefault(j, set()).add(i)
+        self.obj_num = dict(self._objective)
+        self.obj_den = 1
+        self._price_out()
+        return True
 
     def solution(self) -> list[Fraction]:
         """Structural-variable values at the current (optimal) basis."""
@@ -226,22 +326,77 @@ class SparseTableau:
         return values
 
 
-def solve_max_support_sparse(groups, rows) -> tuple[list[Fraction], int]:
-    """The max-support LP over grouped columns on the sparse tableau.
+def _integer_row(row: dict[int, Fraction], rhs: Fraction
+                 ) -> tuple[dict[int, int], int]:
+    """Scale one rational row and its right-hand side to integers."""
+    scale = lcm(rhs.denominator,
+                *(value.denominator for value in row.values()))
+    return {j: int(value * scale) for j, value in row.items()}, int(rhs * scale)
 
-    Same contract as
-    :func:`repro.linear.backends.solve_exact_groups` — ``groups`` from
-    :func:`~repro.linear.backends.grouped_columns`, ``rows`` as sparse
-    ``{group: Fraction}`` dicts — but solved by the single-phase sparse
-    fraction-free simplex.  Returns ``(group x-values, pivot count)``.
+
+def solve_sparse_lp(c: dict[int, Fraction],
+                    rows: Sequence[dict[int, Fraction]],
+                    rhs: Sequence[Fraction], n: int, *,
+                    maximize: bool = True) -> LpResult:
+    """:func:`solve_lp` for rows given as sparse ``{column: value}`` dicts
+    over ``n`` columns (values anything :class:`~fractions.Fraction`
+    accepts)."""
+    if len(rhs) != len(rows):
+        raise LinearSystemError(
+            f"{len(rows)} constraint rows but {len(rhs)} right-hand sides")
+    int_rows: list[dict[int, int]] = []
+    int_rhs: list[int] = []
+    for row, b in zip(rows, rhs):
+        int_row, int_b = _integer_row(
+            {j: Fraction(value) for j, value in row.items() if value},
+            Fraction(b))
+        int_rows.append(int_row)
+        int_rhs.append(int_b)
+    cost = {j: Fraction(value) for j, value in c.items() if value}
+    objective, _ = _integer_row(cost, Fraction(0))
+    if not maximize:
+        objective = {j: -v for j, v in objective.items()}
+    tableau = SparseTableau(int_rows, int_rhs, objective, n)
+    if not tableau.feasible():
+        return LpResult(INFEASIBLE, pivots=tableau.pivots)
+    if tableau.run() == UNBOUNDED:
+        return LpResult(UNBOUNDED, pivots=tableau.pivots)
+    values = tableau.solution()
+    value = sum((coeff * values[j] for j, coeff in cost.items()), Fraction(0))
+    return LpResult(OPTIMAL, value, tuple(values), pivots=tableau.pivots)
+
+
+def solve_lp(c: Sequence, a_ub: Sequence[Sequence], b_ub: Sequence,
+             *, maximize: bool = True) -> LpResult:
+    """Solve ``max (or min) c·x  s.t.  A_ub x ≤ b_ub, x ≥ 0`` exactly.
+
+    All inputs are coerced to :class:`~fractions.Fraction`.  Returns an
+    :class:`LpResult` whose status is one of ``optimal``, ``unbounded``,
+    ``infeasible``.
+    """
+    n = len(c)
+    rows = []
+    for row in a_ub:
+        if len(row) != n:
+            raise LinearSystemError(
+                f"constraint row of width {len(row)}, expected {n}")
+        rows.append(dict(enumerate(row)))
+    return solve_sparse_lp(dict(enumerate(c)), rows, b_ub, n,
+                           maximize=maximize)
+
+
+def solve_max_support_sparse(groups, rows) -> tuple[list[Fraction], int]:
+    """The max-support LP over grouped columns.
+
+    ``groups`` come from :func:`~repro.linear.backends.grouped_columns`,
+    ``rows`` are sparse ``{group: Fraction}`` dicts.  Maximizes ``Σ t_g``
+    subject to the rows, ``t_g ≤ x_g`` and ``t_g ≤ 1``: every right-hand
+    side is nonnegative, so this is a single run of primal simplex with no
+    feasibility phase.  Returns ``(group x-values, pivot count)``.
     """
     k = len(groups)
-    int_rows: list[dict[int, int]] = []
-    rhs: list[int] = []
-    for row in rows:
-        scale = lcm(*(coeff.denominator for coeff in row.values()))
-        int_rows.append({g: int(coeff * scale) for g, coeff in row.items()})
-        rhs.append(0)
+    int_rows = [_integer_row(row, Fraction(0))[0] for row in rows]
+    rhs = [0] * len(int_rows)
     for g in range(k):
         int_rows.append({g: -1, k + g: 1})   # t_g - x_g ≤ 0
         rhs.append(0)
@@ -249,7 +404,10 @@ def solve_max_support_sparse(groups, rows) -> tuple[list[Fraction], int]:
         rhs.append(1)
     objective = {k + g: 1 for g in range(k)}
     tableau = SparseTableau(int_rows, rhs, objective, 2 * k)
-    tableau.run()
+    if tableau.run() != OPTIMAL:
+        raise LinearSystemError(
+            "max-support LP is unbounded; it is bounded by construction "
+            "(t ≤ 1), this cannot happen")
     return tableau.solution()[:k], tableau.pivots
 
 

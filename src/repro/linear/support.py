@@ -27,13 +27,13 @@ The computation:
 3. Pin everything the LP zeroed and repeat until nothing changes.
 
 The LP arithmetic lives behind the backend registry of
-:mod:`repro.linear.backends`: ``"exact"`` (the dense rational simplex,
-the reference core), ``"exact-sparse"`` (the sparse fraction-free simplex
-with the §4.4 hierarchy closed form), ``"float-fallback"`` (HiGHS
-float-first with exact re-verification and an exact safety net), and
-``"auto"`` (size-based choice).  Because the maximal support is unique,
-every sound backend yields the same verdicts — the differential suite in
-``tests/test_backends.py`` pins all of them to identical support sets.
+:mod:`repro.linear.backends`: ``"exact-sparse"`` (the sparse
+fraction-free simplex with the §4.4 hierarchy closed form),
+``"float-fallback"`` (HiGHS float-first with exact re-verification and an
+exact safety net), and ``"auto"`` (size-based choice).  Because the maximal
+support is unique, every sound backend yields the same verdicts — the
+differential suite in ``tests/test_backends.py`` pins all of them, and a
+dense reference simplex kept under ``tests/``, to identical support sets.
 
 When the caller knows the schema is a detected generalization hierarchy it
 passes ``hierarchy=True``; the hint is forwarded only to backends whose
@@ -61,7 +61,7 @@ from .backends import (
     rationalize,
     verify_rows,
 )
-from .simplex import OPTIMAL, solve_lp
+from .sparse import OPTIMAL, solve_sparse_lp
 from .system import PsiSystem, Unknown, bound_entries, build_system
 
 __all__ = ["SupportResult", "acceptable_support", "minimize_witness", "PinEvent"]
@@ -222,21 +222,9 @@ def _minimized_witness(system: PsiSystem, active: list[int],
                 break
     if values is None and len(groups) <= EXACT_BACKEND_LIMIT:
         k = len(groups)
-        a_ub: list[list[Fraction]] = []
-        b_ub: list[Fraction] = []
-        for row in rows:
-            dense = [Fraction(0)] * k
-            for g, coeff in row.items():
-                dense[g] = coeff
-            a_ub.append(dense)
-            b_ub.append(Fraction(0))
-        for row in lower_rows:
-            dense = [Fraction(0)] * k
-            for g, coeff in row.items():
-                dense[g] = coeff
-            a_ub.append(dense)
-            b_ub.append(Fraction(-1))
-        outcome = solve_lp([Fraction(1)] * k, a_ub, b_ub, maximize=False)
+        outcome = solve_sparse_lp(
+            dict.fromkeys(range(k), 1), rows + lower_rows,
+            [0] * len(rows) + [-1] * len(lower_rows), k, maximize=False)
         if outcome.status == OPTIMAL:
             values = list(outcome.solution)
     if values is None:
@@ -292,9 +280,8 @@ def acceptable_support(source: Expansion | PsiSystem,
 
     Accepts either an :class:`Expansion` (the system is built on the fly) or
     a prebuilt :class:`PsiSystem`.  ``backend`` selects the LP arithmetic
-    core by registry name or parameterized spec — ``"auto"`` (default),
-    ``"exact"``, ``"exact-sparse"``, ``"float-fallback"``,
-    ``"auto:limit=500"`` — or may be any object implementing the
+    core by registry name — ``"auto"`` (default), ``"exact-sparse"``,
+    ``"float-fallback"`` — or may be any object implementing the
     :class:`~repro.linear.backends.LpBackend` protocol.
 
     ``hierarchy`` asserts the source schema was detected as a
@@ -322,7 +309,7 @@ def acceptable_support(source: Expansion | PsiSystem,
     iterations), each round's :attr:`RoundSolution.metrics
     <repro.linear.backends.RoundSolution.metrics>` (the documented
     :data:`~repro.linear.backends.METRIC_KEYS` schema — ``lp.pivots``,
-    ``lp.exact_solves``, ``lp.sparse_solves``, ``lp.float_solves``,
+    ``lp.sparse_solves``, ``lp.float_solves``,
     ``lp.hierarchy_closed_form``, ``lp.degenerate_detections``,
     ``lp.float_exact_fallbacks``, ``lp.rationalize_repairs``), and the pin
     tallies ``support.pins_acceptability`` / ``support.pins_propagation`` /

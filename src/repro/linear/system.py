@@ -167,25 +167,6 @@ class PsiSystem:
             return [self.index_of(members) for _, members in unknown.assignment]
         return []
 
-    def dense_rows(self, columns: Sequence[int]) -> tuple[list[list[Fraction]], list[Fraction]]:
-        """Dense ``A, b`` of the constraints restricted to ``columns``;
-        dropped columns are treated as pinned to zero."""
-        column_pos = {var: j for j, var in enumerate(columns)}
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        for constraint in self._constraints:
-            row = [Fraction(0)] * len(columns)
-            touched = False
-            for var, coeff in constraint.coefficients:
-                j = column_pos.get(var)
-                if j is not None:
-                    row[j] = coeff
-                    touched = True
-            if touched:
-                rows.append(row)
-                rhs.append(Fraction(0))
-        return rows, rhs
-
     def describe(self) -> str:
         lines = [f"Psi_S: {self.n_unknowns()} unknowns, "
                  f"{self.n_constraints()} disequations, "

@@ -12,14 +12,11 @@ decision procedure:
 All queries are then support-membership tests, so one reasoner instance
 answers any number of satisfiability/implication questions about its schema
 at no extra solving cost.  Pipeline knobs travel in one
-:class:`~repro.engine.config.EngineConfig`; the legacy keyword arguments
-(``strategy``, ``size_limit``, ``incremental_augmented``) keep working and
-are folded into a config on construction.
+:class:`~repro.engine.config.EngineConfig`.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -69,47 +66,19 @@ class Reasoner:
     schema:
         The schema to reason about.
     config:
-        A complete :class:`~repro.engine.config.EngineConfig` — the one
-        configuration route.  When given it takes precedence over the
-        deprecated loose keyword arguments below.
+        The :class:`~repro.engine.config.EngineConfig` carrying every
+        pipeline knob; defaults to ``EngineConfig()``.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer` this reasoner's
         pipeline (and any augmented pipelines it seeds) records into;
         defaults to the config's ``trace`` setting.
-    strategy / size_limit / incremental_augmented:
-        **Deprecated** loose knobs, folded into an ``EngineConfig`` on
-        construction.  Passing any of them emits a
-        :class:`DeprecationWarning`; construct an
-        :class:`~repro.engine.config.EngineConfig` instead.
     """
 
-    #: Bound on the memoized formula-verdict cache (LRU eviction beyond it).
-    #: The default of ``EngineConfig.augmented_cache_limit``; kept as a
-    #: class attribute for backward compatibility (subclasses may override).
-    AUGMENTED_CACHE_LIMIT = 256
-
-    def __init__(self, schema: Schema, strategy: Optional[str] = None,
-                 size_limit: Optional[int] = None, *,
-                 incremental_augmented: Optional[bool] = None,
+    def __init__(self, schema: Schema, *,
                  config: Optional[EngineConfig] = None,
                  tracer: Optional[Union[Tracer, NullTracer]] = None):
-        legacy = [name for name, value in
-                  (("strategy", strategy), ("size_limit", size_limit),
-                   ("incremental_augmented", incremental_augmented))
-                  if value is not None]
-        if legacy:
-            warnings.warn(
-                f"Reasoner({', '.join(legacy)}=...) is deprecated; pass "
-                f"config=EngineConfig({', '.join(legacy)}=...) instead",
-                DeprecationWarning, stacklevel=2)
         if config is None:
-            config = EngineConfig(
-                strategy=strategy if strategy is not None else "auto",
-                size_limit=size_limit,
-                incremental_augmented=(incremental_augmented
-                                       if incremental_augmented is not None
-                                       else True),
-                augmented_cache_limit=self.AUGMENTED_CACHE_LIMIT)
+            config = EngineConfig()
         self._config = config
         self._pipeline = Pipeline(schema, config, tracer=tracer)
         self._augmented_cache: OrderedDict[Formula, bool] = OrderedDict()

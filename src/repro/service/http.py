@@ -342,15 +342,19 @@ class AsyncServiceServer:
         except asyncio.CancelledError:
             pass  # server shutdown: fall through to cleanup
         finally:
-            await queue.put(None)
+            # Only _shutdown cancels this task, and its cancel can land on
+            # any await below.  Swallow it there too (asyncio logs an
+            # error for a cancelled connection task), so the bookkeeping
+            # always runs.
             try:
+                await queue.put(None)
                 await responder
-            except asyncio.CancelledError:  # pragma: no cover - shutdown
-                pass
+            except asyncio.CancelledError:
+                responder.cancel()
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
+            except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
             self._connections.discard(task)
             tracer.add("service.connections_closed")

@@ -1,53 +1,45 @@
-"""Exact rational linear programming (two-phase primal simplex).
+"""The dense two-phase rational simplex: a test-only reference LP core.
 
-Phase 2 of the paper's method reduces class satisfiability to the existence
-of particular solutions of a homogeneous system of linear disequations
-(Theorem 3.3), decided "using linear programming techniques" (Theorem 4.3).
-Floating-point LP cannot be trusted to distinguish ``x > 0`` from ``x = 0``
-— the very distinction the method hinges on — so we implement the simplex
-method over :class:`fractions.Fraction`.
+The package solves every exact LP on the sparse fraction-free tableau of
+:mod:`repro.linear.sparse`.  This module keeps the textbook alternative —
+a dense all-:class:`~fractions.Fraction` tableau with an explicit two-phase
+method — as an independent oracle: the differential tests compare the
+sparse core against it, and the LP-backend and registry benchmarks measure
+their speedup bars against it.
 
 Problems are given in the form::
 
     maximize    c · x
     subject to  A x ≤ b,   x ≥ 0
 
-Bland's anti-cycling rule guarantees termination.  The implementation is a
-dense tableau, adequate for the system sizes the expansion produces; the
-test suite cross-checks it against ``scipy.optimize.linprog`` on random
-instances.
+Bland's anti-cycling rule guarantees termination.
+
+:class:`DenseReference` wraps the dense core in the
+:class:`~repro.linear.backends.LpBackend` protocol.  It is never
+registered; pass an instance wherever a backend is accepted
+(``acceptable_support(system, backend=DenseReference())``,
+``EngineConfig(lp_backend=DenseReference())``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ..core.budget import current_budget
-from ..core.errors import LinearSystemError
+from repro.core.budget import current_budget
+from repro.core.errors import LinearSystemError
+from repro.linear.backends import (
+    BackendCapabilities,
+    BackendDescription,
+    RoundSolution,
+    _concentrated,
+    bump_metric,
+    grouped_columns,
+)
+from repro.linear.sparse import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
+from repro.linear.system import PsiSystem
 
-__all__ = ["LpResult", "solve_lp", "OPTIMAL", "UNBOUNDED", "INFEASIBLE"]
-
-OPTIMAL = "optimal"
-UNBOUNDED = "unbounded"
-INFEASIBLE = "infeasible"
-
-
-@dataclass(frozen=True)
-class LpResult:
-    """Outcome of an LP solve.
-
-    ``solution`` and ``objective`` are exact rationals, present only for
-    ``status == OPTIMAL``.  ``pivots`` counts the tableau pivots performed
-    across both phases — the arithmetic work metric the observability bus
-    reports as ``lp.pivots``.
-    """
-
-    status: str
-    objective: Optional[Fraction] = None
-    solution: Optional[tuple[Fraction, ...]] = None
-    pivots: int = 0
+__all__ = ["solve_lp", "solve_sparse_lp", "solve_groups", "DenseReference"]
 
 
 def _to_fraction_matrix(rows: Sequence[Sequence], width: int) -> list[list[Fraction]]:
@@ -241,3 +233,78 @@ def solve_lp(c: Sequence, a_ub: Sequence[Sequence], b_ub: Sequence,
             values[var] = tableau.rhs[i]
     objective = tableau.obj_value if maximize else -tableau.obj_value
     return LpResult(OPTIMAL, objective, tuple(values), pivots=total_pivots)
+
+
+def solve_sparse_lp(c: dict, rows: Sequence[dict], rhs: Sequence, n: int, *,
+                    maximize: bool = True) -> LpResult:
+    """:func:`repro.linear.sparse.solve_sparse_lp` on the dense core — the
+    drop-in the parity tests patch into the ratio and minimization paths."""
+    return solve_lp([c.get(j, 0) for j in range(n)],
+                    [[row.get(j, 0) for j in range(n)] for row in rows],
+                    rhs, maximize=maximize)
+
+
+def solve_groups(groups, rows, metrics: Optional[dict[str, int]] = None
+                 ) -> list[Fraction]:
+    """The max-support LP over grouped columns (``groups`` and ``rows`` as
+    :func:`repro.linear.backends.grouped_columns` builds them), solved by
+    the dense core.  ``metrics`` (optional) receives ``lp.pivots``.
+    """
+    k = len(groups)
+    width = 2 * k
+    a_ub: list[list[Fraction]] = []
+    b_ub: list[Fraction] = []
+    for row in rows:
+        dense = [Fraction(0)] * width
+        for g, coeff in row.items():
+            dense[g] = coeff
+        a_ub.append(dense)
+        b_ub.append(Fraction(0))
+    for g in range(k):
+        dense = [Fraction(0)] * width
+        dense[g] = Fraction(-1)
+        dense[k + g] = Fraction(1)
+        a_ub.append(dense)            # t_g - x_g ≤ 0
+        b_ub.append(Fraction(0))
+        dense = [Fraction(0)] * width
+        dense[k + g] = Fraction(1)
+        a_ub.append(dense)            # t_g ≤ 1
+        b_ub.append(Fraction(1))
+    objective = [Fraction(0)] * k + [Fraction(1)] * k
+    result = solve_lp(objective, a_ub, b_ub, maximize=True)
+    bump_metric(metrics, "lp.pivots", result.pivots)
+    if result.status != OPTIMAL:
+        raise LinearSystemError(
+            f"max-support LP ended with status {result.status}; it is "
+            "feasible at zero and bounded, this cannot happen")
+    return list(result.solution[:k])
+
+
+class DenseReference:
+    """The dense simplex as an :class:`~repro.linear.backends.LpBackend`.
+
+    Picklable and stateless, so it also travels to spawned batch workers
+    inside an :class:`~repro.engine.config.EngineConfig`.
+    """
+
+    name = "dense-reference"
+
+    def capabilities(self) -> BackendCapabilities:
+        return BackendCapabilities(
+            arithmetic="exact-rational", sparse=False, closed_form=False,
+            degeneracy="bland-anticycling")
+
+    def describe(self) -> BackendDescription:
+        return BackendDescription(
+            name=self.name, aliases=(),
+            summary="dense two-phase rational simplex (test reference)",
+            capabilities=self.capabilities())
+
+    def solve(self, system: PsiSystem, positive_indices: Sequence[int], *,
+              merge_columns: bool = True) -> RoundSolution:
+        groups, rows = grouped_columns(system, positive_indices, merge_columns)
+        if not groups:
+            return RoundSolution({}, frozenset(), "propagation")
+        metrics: dict[str, int] = {}
+        return _concentrated(groups, solve_groups(groups, rows, metrics),
+                             self.name, metrics)

@@ -1,13 +1,14 @@
-"""The LP backend registry and the exact/float-fallback equivalence suite.
+"""The LP backend registry and the backend equivalence suite.
 
 The maximal acceptable support of ``Ψ_S`` is unique (solutions of the
 homogeneous system are closed under addition), so every sound backend must
 compute the *same* support set — backends may only differ in witness values
-and wall-clock.  The differential tests here pin ``"exact"``,
-``"exact-sparse"``, and ``"float-fallback"`` to identical verdicts on
-seeded random schemas and on hypothesis-generated rich schemas, and the
-capability tests pin the redesigned registry API (described entries,
-parameterized specs, deprecated aliases, the §4.4 closed-form path).
+and wall-clock.  The differential tests here pin ``"exact-sparse"``,
+``"float-fallback"`` and the dense reference simplex of
+:mod:`tests.dense_reference` to identical verdicts on seeded random
+schemas and on hypothesis-generated rich schemas, and the capability tests
+pin the registry API (described entries, names only, the §4.4 closed-form
+path, the float path's exact safety net).
 """
 
 from fractions import Fraction
@@ -18,11 +19,11 @@ from hypothesis import HealthCheck, given, settings
 from repro.core.errors import LinearSystemError
 from repro.engine import EngineConfig
 from repro.expansion.expansion import build_expansion
+from repro.linear import backends
 from repro.linear.backends import (
     AutoBackend,
     BackendCapabilities,
     BackendDescription,
-    ExactBackend,
     FloatFallbackBackend,
     LpBackend,
     RoundSolution,
@@ -43,6 +44,7 @@ from repro.workloads.generators import (
     random_schema,
 )
 
+from .dense_reference import DenseReference
 from .strategies import rich_schemas
 
 
@@ -50,31 +52,30 @@ class TestRegistry:
     def test_builtin_backends_registered(self):
         entries = available_backends()
         assert all(isinstance(entry, BackendDescription) for entry in entries)
-        names = {entry.name for entry in entries}
-        assert {"exact", "exact-sparse", "float-fallback", "auto"} <= names
+        names = [entry.name for entry in entries]
+        assert names == ["auto", "exact-sparse", "float-fallback"]
 
     def test_described_entries_fold_aliases(self):
-        by_name = {entry.name: entry for entry in available_backends()}
-        fallback = by_name["float-fallback"]
-        assert "float" in fallback.aliases
-        assert "float" in fallback.deprecated_aliases
-        assert "limit" in by_name["auto"].parameters
-
-    def test_float_alias_is_deprecated(self):
-        with pytest.warns(DeprecationWarning, match='alias "float"'):
-            resolved = get_backend("float")
-        assert resolved is get_backend("float-fallback")
+        backend = register_backend(DenseReference(), "test-dense")
+        try:
+            by_name = {entry.name: entry for entry in available_backends()}
+            assert by_name["dense-reference"].aliases == ("test-dense",)
+            assert "test-dense" not in by_name
+            assert get_backend("test-dense") is backend
+        finally:
+            backends._REGISTRY.pop("dense-reference", None)
+            backends._REGISTRY.pop("test-dense", None)
 
     def test_unknown_name_raises(self):
         with pytest.raises(LinearSystemError, match="unknown LP backend"):
             get_backend("bogus")
 
     def test_instances_satisfy_the_protocol(self):
-        for name in ("exact", "float-fallback", "auto"):
+        for name in ("exact-sparse", "float-fallback", "auto"):
             assert isinstance(get_backend(name), LpBackend)
 
     def test_backend_instance_passes_through(self):
-        backend = ExactBackend()
+        backend = DenseReference()
         assert get_backend(backend) is backend
 
     def test_non_backend_object_rejected(self):
@@ -87,7 +88,7 @@ class TestRegistry:
 
             def __init__(self):
                 self.calls = 0
-                self._inner = ExactBackend()
+                self._inner = DenseReference()
 
             def solve(self, system, positive_indices, *, merge_columns=True):
                 self.calls += 1
@@ -101,28 +102,24 @@ class TestRegistry:
                                         backend="test-tracing")
             assert tracing.calls >= 1
             reference = acceptable_support(build_expansion(schema),
-                                           backend="exact")
+                                           backend="exact-sparse")
             assert result.support == reference.support
         finally:
-            from repro.linear import backends
-
             backends._REGISTRY.pop("test-tracing", None)
 
 
 class TestCapabilityContract:
     def test_builtin_capabilities(self):
-        assert get_backend("exact").capabilities() == BackendCapabilities(
-            arithmetic="exact-rational", sparse=False, closed_form=False,
-            degeneracy="bland-anticycling")
-        sparse = get_backend("exact-sparse").capabilities()
-        assert sparse.sparse and sparse.closed_form
-        assert sparse.arithmetic == "exact-rational"
+        assert get_backend("exact-sparse").capabilities() == \
+            BackendCapabilities(arithmetic="exact-rational", sparse=True,
+                                closed_form=True,
+                                degeneracy="bland-anticycling")
         assert get_backend("auto").capabilities().arithmetic == "hybrid"
         assert (get_backend("float-fallback").capabilities().degeneracy
                 == "ambiguity-band-exact-fallback")
 
     def test_describe_matches_capabilities(self):
-        for name in ("exact", "exact-sparse", "float-fallback", "auto"):
+        for name in ("exact-sparse", "float-fallback", "auto"):
             backend = get_backend(name)
             description = backend.describe()
             assert description.name == name
@@ -147,38 +144,42 @@ class TestCapabilityContract:
         as_dict = entry.as_dict()
         assert as_dict["name"] == "auto"
         assert as_dict["capabilities"]["closed_form"] is True
-        assert as_dict["parameters"] == ["limit"]
+        assert set(as_dict) == {"name", "aliases", "summary", "capabilities"}
 
 
 class TestParameterizedSpecs:
+    """The retired ``name:key=value`` spec grammar: every such string is
+    now an unknown name, rejected with a typed error rather than silently
+    resolved to some default."""
+
+    @staticmethod
+    def assert_unknown(spec):
+        with pytest.raises(LinearSystemError,
+                           match="unknown LP backend .*; available: auto, "
+                                 "exact-sparse, float-fallback$"):
+            get_backend(spec)
+
     def test_auto_limit_spec(self):
-        backend = get_backend("auto:limit=5")
-        assert isinstance(backend, AutoBackend)
-        assert backend._limit == 5
+        self.assert_unknown("auto:limit=5")
 
     def test_spec_validates_in_engine_config(self):
-        assert EngineConfig(lp_backend="auto:limit=500").lp_backend == \
-            "auto:limit=500"
+        with pytest.raises(LinearSystemError, match="unknown LP backend"):
+            EngineConfig(lp_backend="auto:limit=500")
 
     def test_nonpositive_limit_rejected(self):
-        with pytest.raises(LinearSystemError, match="must be positive"):
-            get_backend("auto:limit=0")
+        self.assert_unknown("auto:limit=0")
 
     def test_unparameterized_backend_rejects_params(self):
-        with pytest.raises(LinearSystemError, match="takes no spec"):
-            get_backend("exact:limit=5")
+        self.assert_unknown("exact-sparse:limit=5")
 
     def test_malformed_params_rejected(self):
-        with pytest.raises(LinearSystemError, match="malformed"):
-            get_backend("auto:limit")
+        self.assert_unknown("auto:limit")
 
     def test_unknown_param_rejected(self):
-        with pytest.raises(LinearSystemError, match="bad parameters"):
-            get_backend("auto:bogus=3")
+        self.assert_unknown("auto:bogus=3")
 
     def test_unknown_name_with_params_rejected(self):
-        with pytest.raises(LinearSystemError, match="unknown LP backend"):
-            get_backend("bogus:limit=5")
+        self.assert_unknown("bogus:limit=5")
 
 
 class TestMetricSchema:
@@ -196,8 +197,9 @@ class TestMetricSchema:
         from repro.linear.backends import METRIC_KEYS
 
         system = build_system(build_expansion(random_schema(5, seed=4)))
-        for name in ("exact", "exact-sparse", "float-fallback", "auto"):
-            solution = get_backend(name).solve(
+        for backend in (DenseReference(), "exact-sparse", "float-fallback",
+                        "auto"):
+            solution = get_backend(backend).solve(
                 system, list(range(system.n_unknowns())))
             assert set(solution.metrics) <= METRIC_KEYS
 
@@ -205,15 +207,15 @@ class TestMetricSchema:
 class TestRoundSolutions:
     def test_exact_solution_is_rational_and_acceptable(self):
         system = build_system(build_expansion(random_schema(5, seed=1)))
-        solution = ExactBackend().solve(
+        solution = SparseExactBackend().solve(
             system, list(range(system.n_unknowns())))
         assert isinstance(solution, RoundSolution)
         assert all(isinstance(v, Fraction) for v in solution.values.values())
-        assert solution.backend_used in ("exact", "propagation")
+        assert solution.backend_used in ("exact-sparse", "propagation")
 
     def test_empty_candidates_need_no_lp(self):
         system = build_system(build_expansion(random_schema(4, seed=2)))
-        for name in ("exact", "float-fallback", "auto"):
+        for name in ("exact-sparse", "float-fallback", "auto"):
             solution = get_backend(name).solve(system, [])
             assert solution.supported == frozenset()
             assert solution.backend_used == "propagation"
@@ -226,38 +228,74 @@ class TestRoundSolutions:
 
 
 class TestAutoRouting:
-    """`auto` routes by LP column count, with the default cutoff at the
-    measured sparse/float crossover (`SPARSE_BACKEND_LIMIT`)."""
+    """`auto` routes by LP column count, with the cutoff at the measured
+    sparse/float crossover (`SPARSE_BACKEND_LIMIT`); tests needing another
+    cutoff patch the constant."""
 
     def test_default_limit_is_the_measured_crossover(self):
-        from repro.linear.backends import SPARSE_BACKEND_LIMIT
+        assert backends.SPARSE_BACKEND_LIMIT == 400
+        assert "up to 400 LP columns" in AutoBackend().describe().summary
 
-        assert SPARSE_BACKEND_LIMIT == 400
-        assert AutoBackend()._limit == SPARSE_BACKEND_LIMIT
-
-    def test_routes_small_systems_to_the_sparse_core(self):
+    def test_routes_small_systems_to_the_sparse_core(self, monkeypatch):
+        monkeypatch.setattr(backends, "SPARSE_BACKEND_LIMIT", 10 ** 6)
         system = build_system(build_expansion(random_schema(5, seed=1)))
-        solution = AutoBackend(limit=10 ** 6).solve(
+        solution = AutoBackend().solve(
             system, list(range(system.n_unknowns())))
         assert solution.backend_used == "exact-sparse"
         assert solution.metrics.get("lp.sparse_solves", 0) == 1
 
-    def test_routes_large_systems_to_the_float_core(self):
+    def test_routes_large_systems_to_the_float_core(self, monkeypatch):
+        monkeypatch.setattr(backends, "SPARSE_BACKEND_LIMIT", 1)
         system = build_system(build_expansion(random_schema(5, seed=1)))
-        solution = AutoBackend(limit=1).solve(
+        solution = AutoBackend().solve(
             system, list(range(system.n_unknowns())))
-        # "float" when scipy answered, "exact" via the verified fallback —
-        # either way the sparse core was bypassed.
-        assert solution.backend_used in ("float", "exact")
-        assert "lp.sparse_solves" not in solution.metrics
+        # "float" when HiGHS answered, "exact-sparse" via the float path's
+        # exact safety net — either way the float path ran first.
+        assert solution.backend_used in ("float", "exact-sparse")
+        assert ("lp.float_solves" in solution.metrics
+                or "lp.float_exact_fallbacks" in solution.metrics)
 
-    def test_routing_preserves_verdicts(self):
+    def test_routing_preserves_verdicts(self, monkeypatch):
         schema = random_schema(6, seed=3)
         expansion = build_expansion(schema)
-        supports = {
-            acceptable_support(expansion, backend=f"auto:limit={limit}").support
-            for limit in (1, 10 ** 6)}
+        supports = set()
+        for limit in (1, 10 ** 6):
+            monkeypatch.setattr(backends, "SPARSE_BACKEND_LIMIT", limit)
+            supports.add(acceptable_support(expansion, backend="auto").support)
         assert len(supports) == 1
+
+
+class TestFloatFallbackWithoutHighs:
+    """With HiGHS unavailable (no SciPy), the float path's exact safety net
+    answers every round on the sparse core."""
+
+    @pytest.fixture(autouse=True)
+    def no_highs(self, monkeypatch):
+        monkeypatch.setattr(backends, "solve_float_groups",
+                            lambda groups, rows: None)
+        # Route `auto` to the float path even on small systems.
+        monkeypatch.setattr(backends, "SPARSE_BACKEND_LIMIT", 1)
+
+    @pytest.mark.parametrize("name", ("float-fallback", "auto"))
+    def test_round_answers_on_the_sparse_core(self, name):
+        system = build_system(build_expansion(random_schema(6, seed=3)))
+        active = list(range(system.n_unknowns()))
+        solution = get_backend(name).solve(system, active)
+        assert solution.backend_used == "exact-sparse"
+        assert solution.metrics["lp.float_exact_fallbacks"] == 1
+        assert solution.metrics["lp.sparse_solves"] == 1
+        assert "lp.float_solves" not in solution.metrics
+        sparse = SparseExactBackend().solve(system, active)
+        assert solution.supported == sparse.supported
+
+    @pytest.mark.parametrize("name", ("float-fallback", "auto"))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_support_matches_the_sparse_backend(self, name, seed):
+        system = build_system(build_expansion(random_schema(6, seed=seed)))
+        result = acceptable_support(system, backend=name)
+        assert result.support == acceptable_support(
+            system, backend="exact-sparse").support
+        assert result.backend_used in ("exact-sparse", "propagation")
 
 
 class TestBackendEquivalence:
@@ -265,7 +303,7 @@ class TestBackendEquivalence:
     verdicts cannot depend on the arithmetic core."""
 
     SEEDS = range(8)
-    BACKENDS = ("exact", "exact-sparse", "float-fallback")
+    BACKENDS = (DenseReference(), "exact-sparse", "float-fallback")
 
     def support_sets(self, schema):
         expansion = build_expansion(schema)
@@ -290,7 +328,8 @@ class TestBackendEquivalence:
     def test_reasoner_verdicts_per_backend(self, seed):
         schema = random_schema(6, seed=seed)
         verdicts = {}
-        for backend in ("exact", "exact-sparse", "float-fallback", "auto"):
+        for backend in (DenseReference(), "exact-sparse", "float-fallback",
+                        "auto"):
             reasoner = Reasoner(
                 schema, config=EngineConfig(lp_backend=backend))
             verdicts[backend] = tuple(reasoner.satisfiable_classes())
@@ -317,7 +356,7 @@ class TestBackendEquivalence:
 
 
 class TestStrategyBackendSweep:
-    """Sparse vs dense exact across enumeration strategies: the Phase-1
+    """Sparse vs the dense reference across enumeration strategies: the Phase-1
     strategy decides *which* compound classes exist, the backend decides the
     arithmetic — verdicts must be invariant in both dimensions."""
 
@@ -325,19 +364,19 @@ class TestStrategyBackendSweep:
     @pytest.mark.parametrize("strategy", ("naive", "strategic", "auto"))
     def test_random_verdicts_invariant(self, seed, strategy):
         schema = random_schema(5, seed=seed)
-        verdicts = {}
-        for backend in ("exact", "exact-sparse"):
+        verdicts = []
+        for backend in (DenseReference(), "exact-sparse"):
             reasoner = Reasoner(schema, config=EngineConfig(
                 strategy=strategy, lp_backend=backend))
-            verdicts[backend] = tuple(reasoner.satisfiable_classes())
-        assert verdicts["exact"] == verdicts["exact-sparse"]
+            verdicts.append(tuple(reasoner.satisfiable_classes()))
+        assert verdicts[0] == verdicts[1]
 
     @pytest.mark.parametrize("strategy", ("naive", "strategic", "hierarchy",
                                           "auto"))
     def test_hierarchy_verdicts_invariant(self, strategy):
         schema = hierarchy_schema(2, 3, with_attributes=True, seed=3)
         verdicts = {}
-        for backend in ("exact", "exact-sparse", "auto"):
+        for backend in (DenseReference(), "exact-sparse", "auto"):
             reasoner = Reasoner(schema, config=EngineConfig(
                 strategy=strategy, lp_backend=backend))
             verdicts[backend] = tuple(reasoner.satisfiable_classes())
@@ -386,7 +425,7 @@ class TestClosedForm:
         system = build_system(build_expansion(random_schema(6, seed=2)))
         flagged = acceptable_support(system, backend="exact-sparse",
                                      hierarchy=True)
-        plain = acceptable_support(system, backend="exact")
+        plain = acceptable_support(system, backend=DenseReference())
         assert flagged.support == plain.support
 
     def test_flag_never_reaches_closed_form_free_backends(self):
@@ -397,7 +436,7 @@ class TestClosedForm:
             name = "test-strict"
 
             def __init__(self):
-                self._inner = ExactBackend()
+                self._inner = DenseReference()
 
             def solve(self, system, positive_indices, *, merge_columns=True):
                 return self._inner.solve(system, positive_indices,
@@ -409,9 +448,7 @@ class TestClosedForm:
                 hierarchy_schema(2, 2, with_attributes=True, seed=0)))
             result = acceptable_support(system, backend="test-strict",
                                         hierarchy=True)
-            reference = acceptable_support(system, backend="exact")
+            reference = acceptable_support(system, backend=DenseReference())
             assert result.support == reference.support
         finally:
-            from repro.linear import backends
-
             backends._REGISTRY.pop("test-strict", None)

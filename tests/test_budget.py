@@ -25,7 +25,7 @@ from repro.expansion.enumerate import (
     naive_compound_classes,
 )
 from repro.expansion.expansion import build_expansion
-from repro.linear.simplex import solve_lp
+from repro.linear import solve_lp
 from repro.parser.parser import parse_schema
 from repro.reasoner.satisfiability import Reasoner
 from repro.workloads.generators import clustered_schema, wide_attribute_schema

@@ -159,7 +159,7 @@ class TestJsonOutput:
         assert document["command"] == "stats"
         assert document["classes"] == 3
         assert document["lp_backend"] in (
-            "exact", "exact-sparse", "float", "closed-form", "propagation")
+            "exact-sparse", "float", "closed-form", "propagation")
         assert "psi_unknowns" in document
 
     def test_validate_text_matches_report_str(self, good_file, capsys):
@@ -173,8 +173,8 @@ class TestJsonOutput:
 
 
 class TestBackendFlag:
-    @pytest.mark.parametrize("backend", ["auto", "exact", "exact-sparse",
-                                         "float-fallback", "auto:limit=50"])
+    @pytest.mark.parametrize("backend", ["auto", "exact-sparse",
+                                         "float-fallback"])
     def test_backend_accepted_everywhere(self, good_file, backend, capsys):
         assert main(["validate", good_file, "--backend", backend]) == 0
         assert main(["satisfiable", good_file, "Student",
@@ -185,7 +185,7 @@ class TestBackendFlag:
         import json
 
         verdicts = []
-        for backend in ("exact", "float-fallback"):
+        for backend in ("exact-sparse", "float-fallback"):
             main(["validate", bad_file, "--json", "--backend", backend])
             document = json.loads(capsys.readouterr().out)
             verdicts.append((document["coherent"],
@@ -195,6 +195,14 @@ class TestBackendFlag:
     def test_unknown_backend_rejected(self, good_file, capsys):
         with pytest.raises(SystemExit):
             main(["validate", good_file, "--backend", "bogus"])
+
+    @pytest.mark.parametrize("backend", ["exact", "float", "auto:limit=50"])
+    def test_retired_backend_names_rejected(self, good_file, backend,
+                                            capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["validate", good_file, "--backend", backend])
+        assert excinfo.value.code == 2
+        assert "unknown LP backend" in capsys.readouterr().err
 
 
 class TestUniformJson:

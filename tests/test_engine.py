@@ -15,6 +15,8 @@ from repro.parser.parser import parse_schema
 from repro.reasoner.satisfiability import Reasoner
 from repro.workloads.generators import clustered_schema, random_schema
 
+from .dense_reference import DenseReference
+
 GOOD_SOURCE = """
 class Person endclass
 class Student isa Person and not Professor endclass
@@ -48,9 +50,10 @@ class TestEngineConfig:
         assert config == EngineConfig()
 
     def test_replace_derives_variants(self):
-        config = EngineConfig().replace(strategy="naive", lp_backend="exact")
+        config = EngineConfig().replace(strategy="naive",
+                                        lp_backend="exact-sparse")
         assert config.strategy == "naive"
-        assert config.lp_backend == "exact"
+        assert config.lp_backend == "exact-sparse"
         assert EngineConfig().strategy == "auto"  # original untouched
 
     def test_bad_strategy_rejected(self):
@@ -110,8 +113,9 @@ class TestPipeline:
 
     def test_config_reaches_the_stages(self):
         pipeline = Pipeline(parse_schema(GOOD_SOURCE),
-                            EngineConfig(lp_backend="exact"))
-        assert pipeline.support.backend_used in ("exact", "propagation")
+                            EngineConfig(lp_backend=DenseReference()))
+        assert pipeline.support.backend_used in ("dense-reference",
+                                                 "propagation")
 
     def test_size_limit_guard(self):
         pipeline = Pipeline(clustered_schema(3, 3, seed=0),
@@ -140,19 +144,9 @@ class TestPipeline:
 class TestReasonerFacade:
     """The Reasoner keeps its public surface while delegating to Pipeline."""
 
-    def test_legacy_kwargs_become_config_with_deprecation(self):
-        with pytest.deprecated_call(match="EngineConfig"):
-            reasoner = Reasoner(parse_schema(GOOD_SOURCE), strategy="naive",
-                                size_limit=500, incremental_augmented=False)
-        assert reasoner.config.strategy == "naive"
-        assert reasoner.config.size_limit == 500
-        assert not reasoner.config.incremental_augmented
-
     def test_explicit_config_wins(self):
-        config = EngineConfig(strategy="strategic", lp_backend="exact")
-        with pytest.deprecated_call(match="EngineConfig"):
-            reasoner = Reasoner(parse_schema(GOOD_SOURCE), strategy="naive",
-                                config=config)
+        config = EngineConfig(strategy="strategic", lp_backend="exact-sparse")
+        reasoner = Reasoner(parse_schema(GOOD_SOURCE), config=config)
         assert reasoner.config is config
         assert reasoner.pipeline.config is config
 
@@ -162,7 +156,7 @@ class TestReasonerFacade:
         assert reasoner.support is reasoner.pipeline.support
 
     def test_augmented_reasoner_inherits_config(self):
-        config = EngineConfig(strategy="strategic", lp_backend="exact")
+        config = EngineConfig(strategy="strategic", lp_backend="exact-sparse")
         reasoner = Reasoner(clustered_schema(2, 3, seed=2), config=config)
         reasoner.support
         name = reasoner.fresh_class_name()
@@ -270,8 +264,8 @@ class TestSchemaSession:
             "class A isa not A endclass", "A")
 
     def test_session_config_reaches_reasoners(self):
-        session = SchemaSession(EngineConfig(lp_backend="exact",
+        session = SchemaSession(EngineConfig(lp_backend="exact-sparse",
                                              strategy="strategic"))
         reasoner = session.reasoner(parse_schema(GOOD_SOURCE))
-        assert reasoner.config.lp_backend == "exact"
+        assert reasoner.config.lp_backend == "exact-sparse"
         assert reasoner.config.strategy == "strategic"

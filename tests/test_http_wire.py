@@ -7,8 +7,11 @@ half-finished clients — the failure modes a hand-rolled parser has to
 get right.
 """
 
+import asyncio
 import json
+import logging
 import socket
+import threading
 import time
 
 import pytest
@@ -207,6 +210,37 @@ class TestProtocolLimits:
 
 
 class TestConnectionLifecycle:
+    def test_shutdown_cancel_during_close_still_counts_the_close(
+            self, monkeypatch, caplog):
+        """drain() cancels connection tasks; a cancel landing while a task
+        awaits ``wait_closed`` must neither skip the close bookkeeping nor
+        surface as an asyncio error."""
+        entered = threading.Event()
+
+        async def wait_closed_until_cancelled(writer):
+            entered.set()
+            await asyncio.Event().wait()
+
+        monkeypatch.setattr(asyncio.StreamWriter, "wait_closed",
+                            wait_closed_until_cancelled)
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        svc = ReproService(ServiceConfig(port=0))
+        address = svc.start()
+        try:
+            client = _Client(address)
+            client.sendall(_request_bytes(method="GET", path="/v1/version"))
+            status, _, _ = _read_response(client)
+            client.close()
+            assert status == 200
+            assert entered.wait(timeout=10)
+        finally:
+            svc.drain(grace=1.0)
+        counters = svc.tracer.counters
+        assert counters["service.connections_opened"] == 1
+        assert counters.get("service.connections_closed") == 1
+        assert [record.getMessage() for record in caplog.records
+                if record.name == "asyncio"] == []
+
     def test_client_disconnect_mid_body_leaves_service_healthy(self, live):
         svc, address = live
         sock = socket.create_connection(address, timeout=10)

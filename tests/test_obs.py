@@ -222,13 +222,15 @@ class TestExpansionCounters:
 
 class TestLpMetrics:
     def test_exact_backend_counts_pivots(self):
+        from repro.expansion.expansion import build_expansion
+        from repro.linear.support import acceptable_support
+
         tracer = Tracer()
-        config = EngineConfig(lp_backend="exact")
-        reasoner = Reasoner(parse_schema(CARD_SOURCE), config=config,
-                            tracer=tracer)
-        reasoner.support
+        # Without the hierarchy hint, so the simplex runs.
+        acceptable_support(build_expansion(parse_schema(CARD_SOURCE)),
+                           backend="exact-sparse", tracer=tracer)
         assert tracer.counter("lp.rounds") >= 1
-        assert tracer.counter("lp.exact_solves") >= 1
+        assert tracer.counter("lp.sparse_solves") >= 1
         assert tracer.counter("lp.pivots") > 0
 
     def test_float_unavailable_falls_back_to_exact(self, monkeypatch):
@@ -242,7 +244,7 @@ class TestLpMetrics:
         expansion = build_expansion(parse_schema(CARD_SOURCE))
         result = acceptable_support(expansion, backend="float-fallback",
                                     tracer=tracer)
-        assert result.backend_used == "exact"
+        assert result.backend_used == "exact-sparse"
         assert tracer.counter("lp.float_exact_fallbacks") >= 1
         assert tracer.counter("lp.float_solves") == 0
         assert tracer.counter("lp.pivots") > 0
@@ -261,7 +263,7 @@ class TestLpMetrics:
         expansion = build_expansion(parse_schema(CARD_SOURCE))
         result = acceptable_support(expansion, backend="float-fallback",
                                     tracer=tracer)
-        assert result.backend_used == "exact"
+        assert result.backend_used == "exact-sparse"
         assert tracer.counter("lp.degenerate_detections") >= 1
         assert tracer.counter("lp.float_exact_fallbacks") >= 1
 
@@ -331,20 +333,6 @@ class TestTypedStats:
         assert (info.hits, info.misses, info.size) == (1, 1, 1)
         assert info.hit_rate == 0.5
         assert info.to_json()["hit_rate"] == 0.5
-
-    def test_dict_style_access_warns_but_works(self):
-        stats = Reasoner(parse_schema(ATTR_SOURCE)).stats()
-        with pytest.deprecated_call(match="dict-style"):
-            assert stats["classes"] == 4
-        with pytest.deprecated_call(match="dict-style"):
-            assert "time_support" in stats
-        with pytest.deprecated_call(match="dict-style"):
-            assert stats["time_support"] == stats.timings["support"]
-        with pytest.deprecated_call():
-            assert "bogus" not in stats
-        with pytest.deprecated_call():
-            with pytest.raises(KeyError):
-                stats["bogus"]
 
     def test_session_cache_info_alias(self):
         from repro.engine.session import SessionCacheInfo

@@ -263,7 +263,7 @@ class TestAugmentedEquivalence:
     def test_verdict_cache_is_lru_bounded(self):
         schema = clustered_schema(2, 2, seed=3)
         reasoner = Reasoner(schema, config=EngineConfig(strategy="strategic"))
-        limit = Reasoner.AUGMENTED_CACHE_LIMIT
+        limit = reasoner.config.augmented_cache_limit
         names = sorted(schema.class_symbols)
         # Synthesize more distinct cross-cluster formulas than the cache
         # holds: (A_i ∧ B_j) over distinct cluster pairs, padded by repeats.

@@ -70,7 +70,8 @@ def test_exact_witness_satisfies_every_disequation(schema):
     from repro.expansion.expansion import build_expansion
     from repro.linear.support import acceptable_support
 
-    result = acceptable_support(build_expansion(schema), backend="exact")
+    result = acceptable_support(build_expansion(schema),
+                                backend="exact-sparse")
     for constraint in result.system.constraints:
         total = sum((coeff * result.solution[var]
                      for var, coeff in constraint.coefficients), Fraction(0))

@@ -5,10 +5,14 @@ from fractions import Fraction
 import pytest
 
 from repro.core.errors import ReasoningError
+from repro.linear import ratios
 from repro.parser.parser import parse_schema
 from repro.reasoner.satisfiability import Reasoner
 from repro.workloads.generators import cardinality_chain_schema
 from repro.workloads.paper_schemas import figure2_schema
+
+from . import dense_reference
+from .lp_parity import SMALL_SCHEMAS
 
 
 class TestFixedRatios:
@@ -107,3 +111,40 @@ class TestDegenerateCases:
         bounds = reasoner.population_ratio("Student", "Person")
         assert bounds.lower == 0
         assert bounds.upper == 1  # Student ⊆ Person in every model
+
+
+class TestDenseReferenceParity:
+    """The ratio LPs (negative right-hand sides: the normalization row)
+    give equal bounds on the sparse core and on the dense reference."""
+
+    @staticmethod
+    def bounds(support, pairs):
+        outcome = []
+        for numerator, denominator in pairs:
+            try:
+                bounds = ratios.population_ratio_bounds(
+                    support, numerator, denominator)
+                outcome.append((bounds.lower, bounds.upper))
+            except ReasoningError as error:  # unsatisfiable denominator
+                outcome.append(str(error))
+        return outcome
+
+    def assert_parity(self, schema, pairs, monkeypatch):
+        support = Reasoner(schema).support
+        sparse = self.bounds(support, pairs)
+        monkeypatch.setattr(ratios, "solve_sparse_lp",
+                            dense_reference.solve_sparse_lp)
+        assert self.bounds(support, pairs) == sparse
+        return sparse
+
+    @pytest.mark.parametrize("name", sorted(SMALL_SCHEMAS))
+    def test_small_schemas(self, name, monkeypatch):
+        schema = SMALL_SCHEMAS[name]()
+        names = sorted(schema.class_symbols)
+        self.assert_parity(schema, [(a, b) for a in names for b in names],
+                           monkeypatch)
+
+    def test_figure2(self, monkeypatch):
+        [(lower, upper)] = self.assert_parity(
+            figure2_schema(), [("Course", "Professor")], monkeypatch)
+        assert lower == 1 and upper is None
