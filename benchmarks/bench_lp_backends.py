@@ -28,7 +28,7 @@ from repro.expansion.expansion import build_expansion
 from repro.linear.backends import SparseExactBackend
 from repro.linear.support import acceptable_support
 from repro.linear.system import build_system
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, use_tracer
 from repro.workloads.generators import hierarchy_schema
 from tests.dense_reference import DenseReference
 
@@ -125,8 +125,9 @@ def test_hierarchy_closed_form_has_zero_pivots(benchmark):
 
     def closed_form():
         tracer = Tracer()
-        result = acceptable_support(system, backend="exact-sparse",
-                                    hierarchy=True, tracer=tracer)
+        with use_tracer(tracer):
+            result = acceptable_support(system, backend="exact-sparse",
+                                        hierarchy=True)
         return result, dict(tracer.counters)
 
     (result, counters) = benchmark.pedantic(closed_form, rounds=1,

@@ -19,8 +19,7 @@ import time
 import pytest
 
 from benchlib import best_of, render_table
-from repro.engine.config import EngineConfig
-from repro.obs.tracer import NULL_TRACER, Tracer, use_tracer
+from repro.obs.tracer import Tracer, current_tracer, use_tracer
 from repro.reasoner.satisfiability import Reasoner
 from repro.workloads.generators import wide_attribute_schema
 
@@ -45,19 +44,25 @@ class _CountingTracer(Tracer):
         super().gauge(name, value)
 
 
-def _run(trace: bool):
-    reasoner = Reasoner(wide_attribute_schema(40),
-                        config=EngineConfig(trace=trace))
-    return reasoner.is_satisfiable("C0")
+def _run():
+    """The workload, recording into whatever tracer is ambient."""
+    return Reasoner(wide_attribute_schema(40)).is_satisfiable("C0")
+
+
+def _traced_run():
+    with use_tracer(Tracer()):
+        return _run()
 
 
 def _null_percall(calls: int = 200_000) -> float:
-    """Seconds per disabled span-plus-counter touch pair."""
+    """Seconds per disabled touch: each span-plus-counter pair also pays
+    the ambient read (``current_tracer()``) that reaches the null bus."""
     start = time.perf_counter()
     for _ in range(calls):
-        with NULL_TRACER.span("bench"):
+        tracer = current_tracer()
+        with tracer.span("bench"):
             pass
-        NULL_TRACER.add("bench", 3)
+        tracer.add("bench", 3)
     return (time.perf_counter() - start) / (2 * calls)
 
 
@@ -67,11 +72,11 @@ def test_disabled_tracing_overhead_under_5_percent(benchmark):
         # Census: how many tracer touches does one full pipeline run make?
         counting = _CountingTracer()
         with use_tracer(counting):
-            _run(False)  # trace=False resolves to the ambient tracer
+            _run()
         touches = counting.touches
 
-        disabled_s = best_of(lambda: _run(False), rounds=3)
-        enabled_s = best_of(lambda: _run(True), rounds=3)
+        disabled_s = best_of(_run, rounds=3)
+        enabled_s = best_of(_traced_run, rounds=3)
         percall_s = _null_percall()
         bound_s = touches * percall_s
         return touches, percall_s, bound_s, disabled_s, enabled_s
@@ -99,7 +104,7 @@ def test_disabled_tracing_overhead_under_5_percent(benchmark):
 @pytest.mark.experiment("observability")
 def test_traced_and_untraced_verdicts_identical(benchmark):
     def verdicts():
-        return _run(False), _run(True)
+        return _run(), _traced_run()
 
     untraced, traced = benchmark.pedantic(verdicts, rounds=1, iterations=1)
     assert untraced == traced

@@ -85,7 +85,7 @@ def test_rewrite_counters_flow_through_tracer():
 
     tracer = Tracer()
     with use_tracer(tracer):
-        rewriter = QueryRewriter(closure, tracer=tracer)
+        rewriter = QueryRewriter(closure)
         rewriter.rewrite(query)
         rewriter.rewrite(query)
     counters = tracer.counters

@@ -134,8 +134,7 @@ def test_reuse_counters_flow_through_tracer():
 
     tracer = Tracer()
     with use_tracer(tracer):
-        revalidated = Pipeline.recompile_from(artifact, delta, CONFIG,
-                                              tracer=tracer)
+        revalidated = Pipeline.recompile_from(artifact, delta, CONFIG)
         _ = revalidated.support
     counters = tracer.counters
     assert counters.get("registry.reuse", 0) > 0

@@ -363,7 +363,8 @@ def expansion_pipeline() -> None:
         identical = all(
             base.augmented_with(cdef).is_satisfiable(cdef.name)
             == Reasoner(schema.with_class(cdef),
-                        strategy="strategic").is_satisfiable(cdef.name)
+                        config=EngineConfig(strategy="strategic")
+                        ).is_satisfiable(cdef.name)
             for cdef in cdefs)
         rows.append((n_clusters * cluster_size, len(cdefs), seeded_s,
                      cold_s, identical))
@@ -874,7 +875,7 @@ def lp_backends() -> None:
     from repro.core.formulas import Lit
     from repro.core.schema import Attr, ClassDef, Schema
     from repro.linear.backends import SparseExactBackend
-    from repro.obs.tracer import Tracer
+    from repro.obs.tracer import Tracer, use_tracer
     from repro.workloads.generators import hierarchy_schema
     from tests.dense_reference import DenseReference
 
@@ -913,8 +914,9 @@ def lp_backends() -> None:
         lp_s, lp_solution = timed(lambda s=system: SparseExactBackend().solve(
             s, list(range(s.n_unknowns()))))
         tracer = Tracer()
-        closed_s, closed = timed(lambda s=system: acceptable_support(
-            s, backend="exact-sparse", hierarchy=True, tracer=tracer))
+        with use_tracer(tracer):
+            closed_s, closed = timed(lambda s=system: acceptable_support(
+                s, backend="exact-sparse", hierarchy=True))
         assert closed.backend_used == "closed-form"
         assert tracer.counters.get("lp.pivots", 0) == 0
         rows.append((f"{depth}x{branching}", system.size(),

@@ -52,7 +52,6 @@ from .engine import (
     QueryError,
     QueryOutcome,
     SchemaSession,
-    SessionCacheInfo,
     schema_fingerprint,
 )
 from .expansion.expansion import Expansion, build_expansion
@@ -97,8 +96,7 @@ __all__ = [
     "Expansion", "build_expansion",
     # engine layer
     "BatchExecutor", "BatchQuery", "EngineConfig", "Pipeline", "QueryError",
-    "QueryOutcome", "SchemaSession", "SessionCacheInfo",
-    "schema_fingerprint",
+    "QueryOutcome", "SchemaSession", "schema_fingerprint",
     # concrete syntax
     "parse_formula", "parse_schema", "render_schema",
     # reasoning

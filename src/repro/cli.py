@@ -78,6 +78,7 @@ from .core.errors import CarError, LinearSystemError
 from .core.schema import Schema
 from .engine.config import EngineConfig
 from .engine.session import SchemaSession
+from .obs.tracer import NULL_TRACER, Tracer, use_tracer
 from .parser.parser import parse_schema
 from .parser.printer import render_schema
 from .reasoner.explain import explain_unsatisfiability
@@ -128,18 +129,10 @@ def _artifact_dir(args: argparse.Namespace) -> Optional[str]:
 
 
 def _make_session(args: argparse.Namespace) -> SchemaSession:
-    """One engine session configured from the shared CLI flags.
-
-    ``--profile`` / ``--trace-out`` switch the observability bus on; the
-    session owns the tracer, and :func:`main` exports/summarizes it after
-    the handler returns.
-    """
-    trace = bool(getattr(args, "profile", False)
-                 or getattr(args, "trace_out", None))
+    """One engine session configured from the shared CLI flags."""
     return SchemaSession(EngineConfig(
         strategy=args.strategy,
         lp_backend=getattr(args, "backend", "auto"),
-        trace=trace,
         artifact_dir=_artifact_dir(args)))
 
 
@@ -427,8 +420,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
                                              session.config) is not None:
                 record["status"] = "cached"
             else:
-                pipeline = Pipeline(schema, session.config,
-                                    tracer=session.last_trace())
+                pipeline = Pipeline(schema, session.config)
                 cache.store(pipeline.compile())
                 record["status"] = "built"
         except (CarError, OSError, ValueError) as exc:
@@ -458,9 +450,9 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the HTTP query service until SIGTERM/SIGINT, then drain.
 
-    The service owns its session (tracing always on: ``/metrics`` is the
-    tracer's counters); it replaces the prologue session so ``--profile``
-    and ``--trace-out`` export the service's bus after shutdown.  Exit
+    The service owns its session and its tracer (``/metrics`` is the
+    tracer's counters); both replace the prologue's, so ``--profile`` and
+    ``--trace-out`` export the service's bus after shutdown.  Exit
     status: 0 after a clean drain, 75 when the drain grace expired with
     requests still in flight.
     """
@@ -492,8 +484,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         artifact_dir=_artifact_dir(args)))
     args.session.close()
     args.session = service.session
-    for path in args.warm:
-        service.session.warm([_read_schema(path)])
+    args.tracer = service.tracer
+    with use_tracer(service.tracer):
+        for path in args.warm:
+            service.session.warm([_read_schema(path)])
     host, port = service.start()
     _write(f"repro service listening on http://{host}:{port}")
     sys.stdout.flush()
@@ -892,12 +886,7 @@ def _profile_summary(tracer) -> list[str]:
 
 
 def _finish_trace(args: argparse.Namespace) -> None:
-    session: Optional[SchemaSession] = getattr(args, "session", None)
-    if session is None:
-        return
-    tracer = session.last_trace()
-    if tracer is None:
-        return
+    tracer = args.tracer
     trace_out = getattr(args, "trace_out", None)
     if trace_out:
         tracer.write_jsonl(trace_out)
@@ -923,11 +912,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # An unknown --backend name is a usage error (exit 2),
         # same as a rejected argparse choice used to be.
         parser.error(str(error))
+    # --profile / --trace-out switch the observability bus on for the
+    # whole command; _finish_trace exports it after the handler returns.
+    traced = (getattr(args, "profile", False)
+              or getattr(args, "trace_out", None))
+    args.tracer = Tracer() if traced else NULL_TRACER
     try:
         # The session context manager shuts any batch worker pool down
         # before interpreter teardown — a live ProcessPoolExecutor at exit
         # races the multiprocessing atexit hooks and spews tracebacks.
-        with args.session:
+        with args.session, use_tracer(args.tracer):
             timeout = getattr(args, "timeout", None)
             max_steps = getattr(args, "max_steps", None)
             if (not args.per_query_budget

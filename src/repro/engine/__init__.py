@@ -30,7 +30,7 @@ from .config import EngineConfig
 from .delta import RevalidationReport, SchemaDelta
 from .executor import BatchExecutor, BatchQuery, QueryError, QueryOutcome
 from .pipeline import Pipeline, PipelineStage
-from .session import SchemaSession, SessionCacheInfo, schema_fingerprint
+from .session import SchemaSession, schema_fingerprint
 
 __all__ = [
     "ARTIFACT_SCHEMA_VERSION",
@@ -46,7 +46,6 @@ __all__ = [
     "RevalidationReport",
     "SchemaDelta",
     "SchemaSession",
-    "SessionCacheInfo",
     "SupportSnapshot",
     "config_fingerprint",
     "default_artifact_dir",

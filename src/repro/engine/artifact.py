@@ -45,7 +45,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
-from ..obs.tracer import NULL_TRACER, NullTracer, Tracer
+from ..obs.tracer import current_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.schema import Schema
@@ -180,8 +180,8 @@ class CompiledSchema:
     computation remains.  ``fingerprint`` is the canonical schema hash
     (:func:`~repro.engine.session.schema_fingerprint`);
     ``config_fingerprint`` pins the enumeration-shaping knobs the snapshot
-    was built under; ``config`` travels along (tracing stripped) so a
-    snapshot is self-describing.
+    was built under; ``config`` travels along so a snapshot is
+    self-describing.
     """
 
     schema_version: int
@@ -231,20 +231,17 @@ class ArtifactCache:
     miss; the cache can slow a caller down, never give it a wrong verdict.
     """
 
-    def __init__(self, directory: Union[str, os.PathLike], *,
-                 tracer: Union[Tracer, NullTracer] = NULL_TRACER):
+    def __init__(self, directory: Union[str, os.PathLike]):
         self.directory = Path(os.fspath(directory)).expanduser()
-        self._tracer = tracer
 
     @classmethod
-    def from_config(cls, config: "EngineConfig", *,
-                    tracer: Union[Tracer, NullTracer] = NULL_TRACER
+    def from_config(cls, config: "EngineConfig"
                     ) -> Optional["ArtifactCache"]:
         """The cache named by ``config.artifact_dir``, or None when the
         config leaves disk caching off."""
         if config.artifact_dir is None:
             return None
-        return cls(config.artifact_dir, tracer=tracer)
+        return cls(config.artifact_dir)
 
     def path_for(self, fingerprint: str, config_fp: str) -> Path:
         """The cache file for one (schema, config) fingerprint pair."""
@@ -261,7 +258,7 @@ class ArtifactCache:
         best-effort; a valid one counts ``artifact.hit`` and
         ``artifact.load``.
         """
-        tracer = self._tracer
+        tracer = current_tracer()
         config_fp = config_fingerprint(config)
         path = self.path_for(fingerprint, config_fp)
         with tracer.span("artifact.load"):
@@ -315,7 +312,7 @@ class ArtifactCache:
                 raise
         except (OSError, pickle.PicklingError, TypeError):
             return False
-        self._tracer.add("artifact.save")
+        current_tracer().add("artifact.save")
         return True
 
     def _discard(self, path: Path) -> None:
@@ -353,7 +350,7 @@ class ArtifactCache:
             except OSError:
                 pass
         if removed:
-            self._tracer.add("artifact.discard", removed)
+            current_tracer().add("artifact.discard", removed)
         return removed
 
 

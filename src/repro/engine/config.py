@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields, replace
-from typing import ClassVar, Optional, Union
+from typing import ClassVar, Optional
 
 from ..core.errors import ReasoningError
-from ..obs.tracer import NullTracer, Tracer
 
 __all__ = ["EngineConfig"]
 
@@ -54,22 +53,18 @@ class EngineConfig:
         Bound on the per-reasoner memoized formula-verdict cache.
     session_cache_limit:
         Bound on the per-session LRU of warm reasoner pipelines.
-    trace:
-        Observability switch — ``False`` (default, near-zero cost),
-        ``True`` (each session/pipeline records into a fresh
-        :class:`~repro.obs.tracer.Tracer`), or a ``Tracer`` instance (one
-        shared bus across sessions and pipelines).  Excluded from
-        equality/hashing: tracing never changes results, so a traced and
-        an untraced config are the same cache key.
     artifact_dir:
         Directory of the fingerprint-keyed
         :class:`~repro.engine.artifact.ArtifactCache` of precompiled
         pipeline snapshots; ``None`` (the library default) leaves disk
         caching off.  The CLI defaults it to
         :func:`~repro.engine.artifact.default_artifact_dir`
-        (``~/.cache/repro``).  Excluded from equality/hashing for the
-        same reason as ``trace``: the cache changes cold-start cost,
-        never verdicts.
+        (``~/.cache/repro``).  Excluded from equality/hashing: the cache
+        changes cold-start cost, never verdicts.
+
+    Tracing is not a config knob: entry points install a
+    :class:`~repro.obs.tracer.Tracer` with
+    :func:`~repro.obs.tracer.use_tracer` around the work they trace.
     """
 
     strategy: str = "auto"
@@ -80,8 +75,6 @@ class EngineConfig:
     merge_columns: bool = True
     augmented_cache_limit: int = 256
     session_cache_limit: int = 32
-    trace: Union[bool, Tracer, NullTracer] = field(
-        default=False, compare=False)
     artifact_dir: Optional[str] = field(default=None, compare=False)
 
     #: The recognized enumeration strategies (see ``repro.expansion``).
@@ -110,9 +103,6 @@ class EngineConfig:
         from ..linear.backends import get_backend
 
         get_backend(self.lp_backend)
-        if not isinstance(self.trace, (bool, Tracer, NullTracer)):
-            raise ReasoningError(
-                f"trace must be a bool or a Tracer, got {self.trace!r}")
         if self.artifact_dir is not None:
             if not isinstance(self.artifact_dir, (str, os.PathLike)):
                 raise ReasoningError(
@@ -123,26 +113,10 @@ class EngineConfig:
             object.__setattr__(self, "artifact_dir",
                                os.fspath(self.artifact_dir))
 
-    def tracer(self) -> Union[Tracer, NullTracer]:
-        """Resolve :attr:`trace` to a tracer instance (``True`` yields a
-        fresh :class:`~repro.obs.tracer.Tracer` per call)."""
-        from ..obs.tracer import as_tracer
-
-        return as_tracer(self.trace)
-
     def replace(self, **overrides) -> "EngineConfig":
         """A copy with the given fields replaced (validation re-runs)."""
         return replace(self, **overrides)
 
     def as_dict(self) -> dict:
-        """A plain-dict rendering (stable key order) for logs and JSON.
-
-        ``trace`` is rendered as a plain bool (a tracer instance is not a
-        serializable configuration value)."""
-        payload = {spec.name: getattr(self, spec.name)
-                   for spec in fields(self)}
-        payload["trace"] = bool(payload["trace"]
-                                if isinstance(payload["trace"], bool)
-                                else getattr(payload["trace"], "enabled",
-                                             False))
-        return payload
+        """A plain-dict rendering (stable key order) for logs and JSON."""
+        return {spec.name: getattr(self, spec.name) for spec in fields(self)}

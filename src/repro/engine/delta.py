@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Optional
 from ..core.schema import Schema
 from ..linear.support import PinEvent, SupportResult, acceptable_support
 from ..linear.system import PsiSystem
-from ..obs.tracer import NULL_TRACER, NullTracer, Tracer
+from ..obs.tracer import current_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..expansion.expansion import Expansion
@@ -252,7 +252,7 @@ def seed_delta(pipeline: "Pipeline", prev: "CompiledSchema",
     config = pipeline.config
     if config.strategy not in ("auto", "strategic") or prev.clusters is None:
         return False
-    tracer = pipeline.tracer
+    tracer = current_tracer()
     with tracer.span("pipeline.delta_seed"), \
             pipeline.timer.stage("delta_seed"):
         new_schema = pipeline.schema
@@ -355,7 +355,6 @@ def _components(system: PsiSystem) -> list[list[int]]:
 
 def merge_support(system: PsiSystem, seed: DeltaSupportSeed, *,
                   backend, use_propagation: bool, merge_columns: bool,
-                  tracer: "Tracer | NullTracer" = NULL_TRACER,
                   stats: Optional[dict] = None) -> SupportResult:
     """The support of ``system``, reusing verdicts of untouched blocks.
 
@@ -410,8 +409,7 @@ def merge_support(system: PsiSystem, seed: DeltaSupportSeed, *,
     if active:
         partial = acceptable_support(
             system, backend, use_propagation=use_propagation,
-            merge_columns=merge_columns, restrict_to=sorted(active),
-            tracer=tracer)
+            merge_columns=merge_columns, restrict_to=sorted(active))
         support = set(partial.support)
         values = dict(partial.solution)
         pin_log = list(partial.pin_log)
@@ -435,6 +433,7 @@ def merge_support(system: PsiSystem, seed: DeltaSupportSeed, *,
         for phase, reason, round_number in pins_by_unknown.get(unknown, ()):
             pin_log.append(PinEvent(i, phase, reason, round_number))
 
+    tracer = current_tracer()
     tracer.add("registry.support_blocks_reused", blocks_reused)
     tracer.add("registry.support_blocks_solved", blocks_solved)
     if stats is not None:

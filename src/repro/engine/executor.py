@@ -48,7 +48,7 @@ from ..core.budget import NULL_BUDGET, Budget, use_budget
 from ..core.errors import BudgetExceeded, CarError, ParseError
 from ..core.formulas import Formula, as_formula
 from ..core.schema import Schema
-from ..obs.tracer import NullTracer, Tracer, as_tracer
+from ..obs.tracer import current_tracer
 from .config import EngineConfig
 from .stats import PipelineStats
 
@@ -299,9 +299,7 @@ class BatchExecutor:
     ----------
     config:
         The :class:`~repro.engine.config.EngineConfig` every worker's
-        pipeline runs under (tracing is stripped before crossing a process
-        boundary — tracers are not picklable and per-worker traces would
-        be lost anyway).
+        pipeline runs under.
     jobs:
         Worker count.  ``1`` (the default) runs serially in-process;
         ``None`` means one worker per CPU.
@@ -313,8 +311,11 @@ class BatchExecutor:
         created.
     deadline / max_steps:
         Default per-query budget, overridable per :meth:`run` call.
-    tracer:
-        Observability bus for the ``executor.*`` counters.
+
+    The ``executor.*`` counters go to the ambient tracer of the caller
+    (:func:`~repro.obs.tracer.current_tracer`).  Pool workers run outside
+    that tracer's context, so their pipelines record nothing — per-worker
+    traces would not survive the process boundary anyway.
 
     The executor keeps its pool warm across :meth:`run` calls
     (``executor.pool_reuse``); use it as a context manager, or call
@@ -326,8 +327,7 @@ class BatchExecutor:
     def __init__(self, config: Optional[EngineConfig] = None, *,
                  jobs: Optional[int] = 1, mode: str = "auto",
                  deadline: Optional[float] = None,
-                 max_steps: Optional[int] = None,
-                 tracer: Optional[Union[Tracer, NullTracer]] = None):
+                 max_steps: Optional[int] = None):
         if mode not in self._MODES:
             raise CarError(f"unknown executor mode {mode!r}; expected one "
                            f"of {', '.join(self._MODES)}")
@@ -342,8 +342,6 @@ class BatchExecutor:
         self.mode = mode
         self.deadline = deadline
         self.max_steps = max_steps
-        self._tracer = (tracer if tracer is not None
-                        else as_tracer(self.config.trace))
         self._pool = None
         self._pool_kind: Optional[str] = None
 
@@ -362,8 +360,9 @@ class BatchExecutor:
         mode = self._effective_mode()
         if mode == "serial":
             return None
+        tracer = current_tracer()
         if self._pool is not None:
-            self._tracer.add("executor.pool_reuse")
+            tracer.add("executor.pool_reuse")
             return self._pool
         import concurrent.futures as futures
 
@@ -374,7 +373,7 @@ class BatchExecutor:
                 self._pool_kind = "process"
                 return self._pool
             except (OSError, ValueError, ImportError):
-                self._tracer.add("executor.pool_fallbacks")
+                tracer.add("executor.pool_fallbacks")
                 mode = "thread"
         if mode == "thread":
             try:
@@ -383,7 +382,7 @@ class BatchExecutor:
                 self._pool_kind = "thread"
                 return self._pool
             except (OSError, ValueError):
-                self._tracer.add("executor.pool_fallbacks")
+                tracer.add("executor.pool_fallbacks")
         return None
 
     def close(self) -> None:
@@ -425,7 +424,7 @@ class BatchExecutor:
         """
         deadline = deadline if deadline is not None else self.deadline
         max_steps = max_steps if max_steps is not None else self.max_steps
-        tracer = self._tracer
+        tracer = current_tracer()
 
         outcomes: dict[int, QueryOutcome] = {}
         shards = self._shard(queries, outcomes, deadline, max_steps,
@@ -512,8 +511,7 @@ class BatchExecutor:
         attach = session is not None and self._effective_mode() != "serial"
         return [
             _ShardPayload(source, fingerprint, tuple(members),
-                          self.config.replace(trace=False), deadline,
-                          max_steps, collect_stats,
+                          self.config, deadline, max_steps, collect_stats,
                           artifact=(session.peek_compiled(fingerprint)
                                     if attach else None))
             for fingerprint, (source, members) in grouped.items()

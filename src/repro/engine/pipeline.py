@@ -39,7 +39,7 @@ from ..expansion.expansion import (Expansion, build_expansion,
 from ..expansion.tables import SchemaTables, build_tables
 from ..linear.support import SupportResult, acceptable_support
 from ..linear.system import PsiSystem, build_system
-from ..obs.tracer import NullTracer, Tracer, as_tracer
+from ..obs.tracer import current_tracer
 from .config import EngineConfig
 from .stats import PipelineStats
 
@@ -83,7 +83,7 @@ class PipelineStage:
                     requirement = requirement(pipeline)
                 if requirement is not None:
                     getattr(pipeline, requirement)
-            with pipeline.tracer.span(f"pipeline.{self._name}"):
+            with current_tracer().span(f"pipeline.{self._name}"):
                 with pipeline.timer.stage(self._name):
                     artifacts[self._name] = self._build(pipeline)
             # Outside the timing window: persistence hooks must not count
@@ -104,21 +104,19 @@ class Pipeline:
 
     All stages are lazy: constructing a pipeline costs nothing, and each
     artifact is built on first access (``pipeline.support`` pulls the whole
-    chain).  ``pipeline.timer`` accumulates per-stage wall-clock readings.
+    chain).  ``pipeline.timer`` accumulates per-stage wall-clock readings;
+    spans and counters go to the ambient tracer of the call that builds a
+    stage (:func:`~repro.obs.tracer.current_tracer`).
     """
 
     #: Stage names in build order (artifact attributes on instances).
     STAGES = ("tables", "expansion", "system", "support")
 
     def __init__(self, schema: Schema, config: Optional[EngineConfig] = None,
-                 *, timer: Optional[StageTimer] = None,
-                 tracer: Optional[Union[Tracer, NullTracer]] = None):
+                 *, timer: Optional[StageTimer] = None):
         self.schema = schema
         self.config = config if config is not None else EngineConfig()
         self.timer = timer if timer is not None else StageTimer()
-        # Explicit tracer > config.trace > ambient tracer (NULL by default).
-        self.tracer = (tracer if tracer is not None
-                       else as_tracer(self.config.trace))
         self._artifacts: dict[str, object] = {}
         # Fired once, with this pipeline, right after the `system` stage
         # builds — the hook sessions and workers use to persist a
@@ -177,12 +175,12 @@ class Pipeline:
         snapshot = (SupportSnapshot.from_result(support)
                     if support is not None else None)
         self.is_hierarchy()  # resolve the §4.4 flag into the snapshot
-        self.tracer.add("artifact.build")
+        current_tracer().add("artifact.build")
         return CompiledSchema(
             schema_version=ARTIFACT_SCHEMA_VERSION,
             fingerprint=schema_fingerprint(self.schema),
             config_fingerprint=config_fingerprint(self.config),
-            config=self.config.replace(trace=False),
+            config=self.config,
             schema=self.schema,
             tables=tables,
             expansion=expansion,
@@ -199,9 +197,7 @@ class Pipeline:
     @classmethod
     def from_artifact(cls, artifact: "CompiledSchema",
                       config: Optional[EngineConfig] = None, *,
-                      timer: Optional[StageTimer] = None,
-                      tracer: Optional[Union[Tracer, NullTracer]] = None
-                      ) -> "Pipeline":
+                      timer: Optional[StageTimer] = None) -> "Pipeline":
         """A pipeline rehydrated from a compiled snapshot.
 
         The tables/expansion/system stages are pre-populated from the
@@ -228,7 +224,7 @@ class Pipeline:
             raise ReasoningError(
                 "artifact was compiled under an incompatible engine "
                 "config (strategy/size_limit mismatch)")
-        pipeline = cls(artifact.schema, config, timer=timer, tracer=tracer)
+        pipeline = cls(artifact.schema, config, timer=timer)
         pipeline._artifacts["tables"] = artifact.tables
         pipeline._artifacts["expansion"] = artifact.expansion
         pipeline._artifacts["system"] = artifact.system
@@ -246,9 +242,7 @@ class Pipeline:
     @classmethod
     def recompile_from(cls, prev: "CompiledSchema", delta,
                        config: Optional[EngineConfig] = None, *,
-                       timer: Optional[StageTimer] = None,
-                       tracer: Optional[Union[Tracer, NullTracer]] = None
-                       ) -> "Pipeline":
+                       timer: Optional[StageTimer] = None) -> "Pipeline":
         """A pipeline for ``delta.new`` that reuses everything ``prev``
         (the compiled previous version) can still vouch for.
 
@@ -290,11 +284,10 @@ class Pipeline:
                 "delta.old does not match the schema the previous "
                 "artifact was compiled from")
         if delta.is_empty():
-            pipeline = cls.from_artifact(prev, config, timer=timer,
-                                         tracer=tracer)
+            pipeline = cls.from_artifact(prev, config, timer=timer)
             pipeline.delta_stats["mode"] = "unchanged"
             return pipeline
-        pipeline = cls(delta.new, config, timer=timer, tracer=tracer)
+        pipeline = cls(delta.new, config, timer=timer)
         if not seed_delta(pipeline, prev, delta):
             pipeline.delta_stats["mode"] = "fresh"
         return pipeline
@@ -318,15 +311,14 @@ class Pipeline:
                 self.schema, seed.classes, seed.reused, seed.old,
                 strategy=self.config.strategy,
                 touched_relations=seed.touched_relations,
-                size_limit=self.config.size_limit, tracer=self.tracer)
+                size_limit=self.config.size_limit)
         tables = None
         if _expansion_needs_tables(self) is not None:
             tables = self.tables  # prebuilt by the prerequisite hook
         return build_expansion(
             self.schema, self.config.strategy,
             size_limit=self.config.size_limit, tables=tables,
-            precomputed_classes=self._precomputed_classes,
-            tracer=self.tracer)
+            precomputed_classes=self._precomputed_classes)
 
     @PipelineStage("expansion")
     def system(self) -> PsiSystem:
@@ -346,13 +338,12 @@ class Pipeline:
                 backend=self.config.lp_backend,
                 use_propagation=self.config.use_propagation,
                 merge_columns=self.config.merge_columns,
-                tracer=self.tracer, stats=self.delta_stats)
+                stats=self.delta_stats)
         return acceptable_support(
             self.system, backend=self.config.lp_backend,
             use_propagation=self.config.use_propagation,
             merge_columns=self.config.merge_columns,
-            hierarchy=self.is_hierarchy(),
-            tracer=self.tracer)
+            hierarchy=self.is_hierarchy())
 
     # ------------------------------------------------------------------
     # Query-rewriting closure
@@ -443,7 +434,7 @@ class Pipeline:
         from ..expansion.enumerate import dpll_compound_classes
         from ..expansion.graph import clusters as compute_clusters
 
-        with self.tracer.span("pipeline.augmented_seed"), \
+        with current_tracer().span("pipeline.augmented_seed"), \
                 self.timer.stage("augmented_seed"):
             aug_tables = self.tables.extended_with(target.schema, cdef.name)
             aug_clusters = compute_clusters(target.schema, aug_tables)

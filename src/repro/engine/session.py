@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Union
 from ..core.errors import CarError
 from ..core.formulas import FormulaLike
 from ..core.schema import Schema
-from ..obs.tracer import NullTracer, Tracer, as_tracer
+from ..obs.tracer import current_tracer
 from ..parser.printer import render_schema
 from .config import EngineConfig
 from .stats import PipelineStats, SessionStats
@@ -51,12 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .delta import RevalidationReport
     from .executor import BatchQueryLike, QueryOutcome, _ShardPayload
 
-__all__ = ["SchemaSession", "SessionStats", "SessionCacheInfo",
-           "schema_fingerprint"]
-
-#: Backward-compatible alias: the cache-counter snapshot became the typed
-#: :class:`~repro.engine.stats.SessionStats` payload.
-SessionCacheInfo = SessionStats
+__all__ = ["SchemaSession", "SessionStats", "schema_fingerprint"]
 
 #: Entry points accept either a parsed schema or concrete-syntax source.
 SchemaLike = Union[Schema, str]
@@ -115,14 +110,9 @@ class SchemaSession:
         # threaded server; get/move_to_end/popitem must not interleave
         # (a lookup racing an eviction would KeyError on move_to_end).
         self._lock = threading.RLock()
-        # One bus for every reasoner this session builds: with
-        # trace=True the session owns a fresh Tracer; with a Tracer
-        # instance the bus is shared with whoever supplied it.
-        self._tracer = as_tracer(self.config.trace)
         from .artifact import ArtifactCache
 
-        self._artifact_cache = ArtifactCache.from_config(
-            self.config, tracer=self._tracer)
+        self._artifact_cache = ArtifactCache.from_config(self.config)
 
     # ------------------------------------------------------------------
     # The pipeline cache
@@ -139,22 +129,23 @@ class SchemaSession:
 
         schema = _as_schema(schema)
         key = schema_fingerprint(schema)
+        tracer = current_tracer()
         with self._lock:
             cached = self._cache.get(key)
             if cached is not None:
                 self._hits += 1
-                self._tracer.add("session.cache_hits")
+                tracer.add("session.cache_hits")
                 self._cache.move_to_end(key)
                 return cached
             self._misses += 1
-            self._tracer.add("session.cache_misses")
+            tracer.add("session.cache_misses")
             reasoner = self._build_reasoner(schema, key)
             self._cache[key] = reasoner
             while len(self._cache) > self.config.session_cache_limit:
                 self._cache.popitem(last=False)
                 self._evictions += 1
-                self._tracer.add("session.cache_evictions")
-            self._tracer.gauge("session.cache_size", len(self._cache))
+                tracer.add("session.cache_evictions")
+            tracer.gauge("session.cache_size", len(self._cache))
             return reasoner
 
     def _build_reasoner(self, schema: Schema, fingerprint: str) -> "Reasoner":
@@ -173,10 +164,9 @@ class SchemaSession:
         if cache is not None:
             artifact = cache.load(fingerprint, self.config)
             if artifact is not None:
-                pipeline = Pipeline.from_artifact(
-                    artifact, self.config, tracer=self._tracer)
+                pipeline = Pipeline.from_artifact(artifact, self.config)
                 return Reasoner.from_pipeline(pipeline)
-        reasoner = Reasoner(schema, config=self.config, tracer=self._tracer)
+        reasoner = Reasoner(schema, config=self.config)
         if cache is not None:
             reasoner.pipeline.on_system_built = (
                 lambda pipeline: cache.store(pipeline.compile()))
@@ -214,15 +204,6 @@ class SchemaSession:
                                 len(self._cache),
                                 self.config.session_cache_limit)
 
-    def last_trace(self) -> Optional[Union[Tracer, NullTracer]]:
-        """The session's event/metric bus, or None when tracing is off.
-
-        The tracer accumulates across every query the session answered;
-        call ``.snapshot()`` for a JSON-able rendering, ``.clear()`` to
-        reset between request batches, or ``.write_jsonl(path)`` to export
-        the versioned trace."""
-        return self._tracer if self._tracer.enabled else None
-
     def warm(self, schemas: Iterable[SchemaLike]) -> list[PipelineStats]:
         """Pre-build every pipeline stage for each schema, now.
 
@@ -259,6 +240,7 @@ class SchemaSession:
         from .pipeline import Pipeline
 
         started = _time.perf_counter()
+        tracer = current_tracer()
         new_schema = _as_schema(new)
         new_fp = schema_fingerprint(new_schema)
         prev = old_fp = None
@@ -282,14 +264,13 @@ class SchemaSession:
             # revalidation rather than a lazy promise.
             reasoner = self.reasoner(new_schema)
             _ = reasoner.pipeline.support
-            self._tracer.add("session.update_fresh")
+            tracer.add("session.update_fresh")
             return reasoner, RevalidationReport(
                 mode="fresh", fingerprint_old=old_fp, fingerprint_new=new_fp,
                 duration_s=_time.perf_counter() - started)
 
         delta = SchemaDelta.between(old_schema, new_schema)
-        pipeline = Pipeline.recompile_from(prev, delta, self.config,
-                                           tracer=self._tracer)
+        pipeline = Pipeline.recompile_from(prev, delta, self.config)
         _ = pipeline.support
         reasoner = Reasoner.from_pipeline(pipeline)
         with self._lock:
@@ -298,13 +279,13 @@ class SchemaSession:
             while len(self._cache) > self.config.session_cache_limit:
                 self._cache.popitem(last=False)
                 self._evictions += 1
-                self._tracer.add("session.cache_evictions")
-            self._tracer.gauge("session.cache_size", len(self._cache))
+                tracer.add("session.cache_evictions")
+            tracer.gauge("session.cache_size", len(self._cache))
         if self._artifact_cache is not None:
             self._artifact_cache.store(pipeline.compile())
         stats = pipeline.delta_stats
         mode = stats.get("mode", "delta")
-        self._tracer.add(f"session.update_{mode}")
+        tracer.add(f"session.update_{mode}")
         return reasoner, RevalidationReport(
             mode=mode, fingerprint_old=old_fp, fingerprint_new=new_fp,
             clusters_total=stats.get("clusters_total", 0),
@@ -356,7 +337,7 @@ class SchemaSession:
             else:
                 for fingerprint in fingerprints:
                     self._rewriters.pop(fingerprint, None)
-            self._tracer.gauge("session.cache_size", len(self._cache))
+            current_tracer().gauge("session.cache_size", len(self._cache))
         if drop_artifacts and self._artifact_cache is not None:
             if schema is None:
                 self._artifact_cache.clear()
@@ -466,8 +447,7 @@ class SchemaSession:
                     or executor.mode != mode):
                 if executor is not None:
                     executor.close()
-                executor = BatchExecutor(self.config, jobs=jobs, mode=mode,
-                                         tracer=self._tracer)
+                executor = BatchExecutor(self.config, jobs=jobs, mode=mode)
                 self._executor = executor
         return executor.run(queries, deadline=deadline,
                             max_steps=max_steps,
@@ -530,8 +510,7 @@ class SchemaSession:
             query.validate(reasoner.schema)
         if database is not None and not isinstance(database, Database):
             database = database_from_document(reasoner.schema, database)
-        return certain_answers(rewriter, query, database,
-                               reasoner=reasoner, tracer=self._tracer)
+        return certain_answers(rewriter, query, database, reasoner=reasoner)
 
     def _rewriter_for(self, fingerprint: str, reasoner: "Reasoner"):
         """The warm :class:`~repro.qa.rewriter.QueryRewriter` for one
@@ -553,7 +532,7 @@ class SchemaSession:
         with self._lock:
             rewriter = self._rewriters.get(fingerprint)
             if rewriter is None:
-                rewriter = QueryRewriter(closure, tracer=self._tracer)
+                rewriter = QueryRewriter(closure)
                 self._rewriters[fingerprint] = rewriter
                 while len(self._rewriters) > self.config.session_cache_limit:
                     self._rewriters.popitem(last=False)

@@ -12,11 +12,11 @@ exponentially smaller and faster on clustered schemas, which benchmark
 from __future__ import annotations
 
 from itertools import chain, combinations
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from ..core.budget import current_budget
 from ..core.schema import Schema
-from ..obs.tracer import NULL_TRACER, NullTracer, Tracer
+from ..obs.tracer import current_tracer
 from .compound import is_consistent_compound_class
 from .graph import clusters, hierarchy_compound_classes
 from .tables import SchemaTables, build_tables
@@ -49,8 +49,7 @@ def naive_compound_classes(schema: Schema) -> list[frozenset[str]]:
 
 
 def dpll_compound_classes(schema: Schema, universe: Sequence[str],
-                          tables: Optional[SchemaTables] = None,
-                          tracer: Union[Tracer, NullTracer] = NULL_TRACER
+                          tables: Optional[SchemaTables] = None
                           ) -> list[frozenset[str]]:
     """All consistent compound classes drawn from ``universe``.
 
@@ -60,7 +59,7 @@ def dpll_compound_classes(schema: Schema, universe: Sequence[str],
     activated clause is falsified or the tables prove a disjointness/empty
     violation.
 
-    ``tracer`` receives the search counters once per call:
+    The ambient tracer receives the search counters once per call:
     ``expansion.dpll_branches`` (assignments explored),
     ``expansion.dpll_clause_refuted`` (branches killed by a falsified
     clause), and ``expansion.dpll_table_pruned`` (branches killed by the
@@ -160,6 +159,7 @@ def dpll_compound_classes(schema: Schema, universe: Sequence[str],
         del assignment[name]
 
     search(0)
+    tracer = current_tracer()
     tracer.add("expansion.dpll_branches", counts["branches"])
     tracer.add("expansion.dpll_clause_refuted", counts["clause_refuted"])
     tracer.add("expansion.dpll_table_pruned", counts["table_pruned"])
@@ -167,8 +167,7 @@ def dpll_compound_classes(schema: Schema, universe: Sequence[str],
 
 
 def strategic_compound_classes(schema: Schema,
-                               tables: Optional[SchemaTables] = None,
-                               tracer: Union[Tracer, NullTracer] = NULL_TRACER
+                               tables: Optional[SchemaTables] = None
                                ) -> list[frozenset[str]]:
     """Section 4.3 strategy: preselection tables + per-cluster enumeration.
 
@@ -180,15 +179,14 @@ def strategic_compound_classes(schema: Schema,
     results: list[frozenset[str]] = [frozenset()]
     for component in clusters(schema, tables):
         for compound in dpll_compound_classes(schema, sorted(component),
-                                              tables, tracer=tracer):
+                                              tables):
             if compound:
                 results.append(compound)
     return results
 
 
 def compound_classes(schema: Schema, strategy: str = "auto",
-                     tables: Optional[SchemaTables] = None,
-                     tracer: Union[Tracer, NullTracer] = NULL_TRACER
+                     tables: Optional[SchemaTables] = None
                      ) -> list[frozenset[str]]:
     """Enumerate consistent compound classes with the requested strategy.
 
@@ -205,6 +203,7 @@ def compound_classes(schema: Schema, strategy: str = "auto",
     """
     if strategy not in ("auto", "naive", "strategic", "hierarchy"):
         raise ValueError(f"unknown enumeration strategy {strategy!r}")
+    tracer = current_tracer()
     if strategy == "naive":
         results = naive_compound_classes(schema)
         tracer.add("expansion.compound_classes", len(results))
@@ -217,6 +216,6 @@ def compound_classes(schema: Schema, strategy: str = "auto",
             tracer.add("expansion.hierarchy_closed_form")
             tracer.add("expansion.compound_classes", len(from_hierarchy))
             return from_hierarchy
-    results = strategic_compound_classes(schema, tables, tracer=tracer)
+    results = strategic_compound_classes(schema, tables)
     tracer.add("expansion.compound_classes", len(results))
     return results

@@ -35,13 +35,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from ..core.budget import current_budget
 from ..core.cardinality import Card, INFINITY
 from ..core.errors import ReasoningError
 from ..core.schema import AttrRef, Schema
-from ..obs.tracer import NULL_TRACER, NullTracer, Tracer
+from ..obs.tracer import current_tracer
 from .compound import (
     AttributeTyping,
     CompoundAttribute,
@@ -200,8 +200,7 @@ def build_expansion(schema: Schema, strategy: str = "auto", *,
                     include_unconstrained: bool = False,
                     size_limit: Optional[int] = None,
                     tables=None,
-                    precomputed_classes: Optional[Sequence[frozenset]] = None,
-                    tracer: Union[Tracer, NullTracer] = NULL_TRACER
+                    precomputed_classes: Optional[Sequence[frozenset]] = None
                     ) -> Expansion:
     """Build the expansion of ``schema``.
 
@@ -225,13 +224,13 @@ def build_expansion(schema: Schema, strategy: str = "auto", *,
         Optional compound classes to use verbatim (skipping enumeration) —
         the incremental augmented-query path of the reasoner supplies the
         merged-cluster result here.
-    tracer:
-        Observability bus receiving the enumeration counters
-        (``expansion.compound_classes``, the DPLL search counters) and the
-        builder counters (``expansion.candidates_examined`` /
-        ``expansion.candidates_pruned`` against the full Cartesian space,
-        ``expansion.memo_hits`` / ``expansion.memo_misses`` of the typing
-        memos).  Defaults to the disabled bus.
+
+    The ambient tracer receives the enumeration counters
+    (``expansion.compound_classes``, the DPLL search counters) and the
+    builder counters (``expansion.candidates_examined`` /
+    ``expansion.candidates_pruned`` against the full Cartesian space,
+    ``expansion.memo_hits`` / ``expansion.memo_misses`` of the typing
+    memos).
 
     The candidate loops (and the per-class ``Natt``/``Nrel`` merges) tick
     the ambient :class:`~repro.core.budget.Budget`, so a deadline or step
@@ -243,11 +242,10 @@ def build_expansion(schema: Schema, strategy: str = "auto", *,
     budget = _SizeBudget(size_limit)
     if precomputed_classes is not None:
         classes = tuple(precomputed_classes)
-        tracer.add("expansion.precomputed_classes", len(classes))
+        current_tracer().add("expansion.precomputed_classes", len(classes))
     else:
         classes = tuple(enumerate_compound_classes(schema, strategy,
-                                                   tables=tables,
-                                                   tracer=tracer))
+                                                   tables=tables))
     budget.charge(len(classes), "compound classes")
 
     natt: dict[tuple[frozenset, AttrRef], Card] = {}
@@ -271,9 +269,9 @@ def build_expansion(schema: Schema, strategy: str = "auto", *,
                 nrel[(members, relation, role)] = merged
 
     compound_attributes = _build_compound_attributes(
-        schema, classes, natt, include_unconstrained, budget, tracer)
+        schema, classes, natt, include_unconstrained, budget)
     compound_relations = _build_compound_relations(
-        schema, classes, nrel, include_unconstrained, budget, tracer)
+        schema, classes, nrel, include_unconstrained, budget)
 
     return Expansion(
         schema=schema,
@@ -290,9 +288,7 @@ def build_expansion_delta(schema: Schema, classes: Sequence[frozenset],
                           reused: frozenset, old: Expansion, *,
                           strategy: str = "strategic",
                           touched_relations: frozenset = frozenset(),
-                          size_limit: Optional[int] = None,
-                          tracer: Union[Tracer, NullTracer] = NULL_TRACER
-                          ) -> Expansion:
+                          size_limit: Optional[int] = None) -> Expansion:
     """Build the expansion of ``schema`` reusing rows of a previous one.
 
     ``classes`` is the full (merged) compound-class list; members of
@@ -317,6 +313,7 @@ def build_expansion_delta(schema: Schema, classes: Sequence[frozenset],
     budget = _SizeBudget(size_limit)
     classes = tuple(classes)
     budget.charge(len(classes), "compound classes")
+    tracer = current_tracer()
     tracer.add("expansion.delta_reused_classes", len(reused))
     tracer.add("expansion.delta_fresh_classes", len(classes) - len(reused))
 
@@ -358,9 +355,9 @@ def build_expansion_delta(schema: Schema, classes: Sequence[frozenset],
                 nrel[(members, relation, role)] = merged
 
     compound_attributes = _delta_compound_attributes(
-        schema, classes, reused, old, natt, budget, tracer)
+        schema, classes, reused, old, natt, budget)
     compound_relations = _delta_compound_relations(
-        schema, classes, reused, old, nrel, touched_relations, budget, tracer)
+        schema, classes, reused, old, nrel, touched_relations, budget)
 
     return Expansion(
         schema=schema,
@@ -375,8 +372,7 @@ def build_expansion_delta(schema: Schema, classes: Sequence[frozenset],
 
 def _delta_compound_attributes(schema: Schema, classes: Sequence[frozenset],
                                reused: frozenset, old: Expansion, natt,
-                               budget: _SizeBudget,
-                               tracer: Union[Tracer, NullTracer]
+                               budget: _SizeBudget
                                ) -> dict[str, tuple[CompoundAttribute, ...]]:
     """Per attribute: copy old compound attributes between reused
     endpoints, probe only the candidates with a fresh endpoint.
@@ -423,6 +419,7 @@ def _delta_compound_attributes(schema: Schema, classes: Sequence[frozenset],
                 budget.charge(1, f"attribute {attr}")
         result[attr] = tuple(found)
     if schema.attribute_symbols:
+        tracer = current_tracer()
         tracer.add("expansion.delta_attributes_copied", copied)
         tracer.add("expansion.candidates_examined", probed_total)
     return result
@@ -431,8 +428,7 @@ def _delta_compound_attributes(schema: Schema, classes: Sequence[frozenset],
 def _delta_compound_relations(schema: Schema, classes: Sequence[frozenset],
                               reused: frozenset, old: Expansion, nrel,
                               touched_relations: frozenset,
-                              budget: _SizeBudget,
-                              tracer: Union[Tracer, NullTracer]
+                              budget: _SizeBudget
                               ) -> dict[str, tuple[CompoundRelation, ...]]:
     """Per relation: untouched relation definitions copy their compound
     relations between all-reused assignments and probe only tuples with a
@@ -497,6 +493,7 @@ def _delta_compound_relations(schema: Schema, classes: Sequence[frozenset],
                     budget.charge(1, f"relation {rdef.name}")
         result[rdef.name] = tuple(found)
     if schema.relation_definitions:
+        tracer = current_tracer()
         tracer.add("expansion.delta_relations_copied", copied)
         tracer.add("expansion.candidates_examined", probed_total)
     return result
@@ -504,8 +501,7 @@ def _delta_compound_relations(schema: Schema, classes: Sequence[frozenset],
 
 def _build_compound_attributes(schema: Schema, classes: Sequence[frozenset],
                                natt, include_unconstrained: bool,
-                               budget: _SizeBudget,
-                               tracer: Union[Tracer, NullTracer] = NULL_TRACER
+                               budget: _SizeBudget
                                ) -> dict[str, tuple[CompoundAttribute, ...]]:
     result: dict[str, tuple[CompoundAttribute, ...]] = {}
     tick = current_budget().tick
@@ -546,6 +542,7 @@ def _build_compound_attributes(schema: Schema, classes: Sequence[frozenset],
         memo_hits += typing.memo_hits
         memo_misses += typing.memo_misses
     if schema.attribute_symbols:
+        tracer = current_tracer()
         tracer.add("expansion.candidates_examined", examined)
         tracer.add("expansion.candidates_pruned", cartesian - examined)
         tracer.add("expansion.memo_hits", memo_hits)
@@ -561,8 +558,7 @@ def _chain_products(*pools: tuple[Sequence, Sequence]):
 
 def _build_compound_relations(schema: Schema, classes: Sequence[frozenset],
                               nrel, include_unconstrained: bool,
-                              budget: _SizeBudget,
-                              tracer: Union[Tracer, NullTracer] = NULL_TRACER
+                              budget: _SizeBudget
                               ) -> dict[str, tuple[CompoundRelation, ...]]:
     result: dict[str, tuple[CompoundRelation, ...]] = {}
     tick = current_budget().tick
@@ -616,6 +612,7 @@ def _build_compound_relations(schema: Schema, classes: Sequence[frozenset],
         memo_hits += typing.memo_hits
         memo_misses += typing.memo_misses
     if schema.relation_definitions:
+        tracer = current_tracer()
         tracer.add("expansion.candidates_examined", examined)
         tracer.add("expansion.candidates_pruned", cartesian - examined)
         tracer.add("expansion.memo_hits", memo_hits)

@@ -76,7 +76,7 @@ __all__ = [
 ]
 
 #: Column-count threshold below which an exact re-solve is attempted for the
-#: float path's witness repair and for witness minimization.
+#: float path's witness repair.
 EXACT_BACKEND_LIMIT = 60
 
 #: Column-count threshold below which ``"auto"`` stays with the sparse

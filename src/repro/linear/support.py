@@ -51,9 +51,8 @@ from typing import Optional, Sequence
 from ..core.cardinality import INFINITY
 from ..core.errors import LinearSystemError
 from ..expansion.expansion import Expansion
-from ..obs.tracer import NULL_TRACER, NullTracer, Tracer
+from ..obs.tracer import current_tracer
 from .backends import (
-    EXACT_BACKEND_LIMIT,
     LpBackend,
     backend_capabilities,
     get_backend,
@@ -194,9 +193,11 @@ def _minimized_witness(system: PsiSystem, active: list[int],
 
     The max-support LP certifies *which* unknowns can be positive but its
     vertex can carry large values; model synthesis scales with them, so a
-    dedicated minimization pass keeps synthesized databases small.  Returns
-    None when no small exact certificate could be produced (the caller then
-    keeps the max-support witness).
+    dedicated minimization pass keeps synthesized databases small.  HiGHS
+    answers first when SciPy is installed; a float optimum that does not
+    rationalize to an exact certificate falls through to the sparse exact
+    core.  Returns None when no optimum is found (the caller then keeps
+    the max-support witness).
     """
     groups, rows = grouped_columns(system, active, merge_columns)
     if not groups:
@@ -220,7 +221,7 @@ def _minimized_witness(system: PsiSystem, active: list[int],
                             for g, c in enumerate(is_class_group) if c)):
                 values = candidate
                 break
-    if values is None and len(groups) <= EXACT_BACKEND_LIMIT:
+    if values is None:
         k = len(groups)
         outcome = solve_sparse_lp(
             dict.fromkeys(range(k), 1), rows + lower_rows,
@@ -273,9 +274,7 @@ def acceptable_support(source: Expansion | PsiSystem,
                        use_propagation: bool = True,
                        merge_columns: bool = True,
                        restrict_to: Optional[Sequence[int]] = None,
-                       hierarchy: bool = False,
-                       tracer: "Tracer | NullTracer" = NULL_TRACER
-                       ) -> SupportResult:
+                       hierarchy: bool = False) -> SupportResult:
     """Compute the maximal acceptable support of ``Ψ_S``.
 
     Accepts either an :class:`Expansion` (the system is built on the fly) or
@@ -305,8 +304,8 @@ def acceptable_support(source: Expansion | PsiSystem,
     connected components of ``Ψ_S`` here, recombining the result with
     reused verdicts for the untouched components.
 
-    ``tracer`` receives the LP work counters: ``lp.rounds`` (fixpoint
-    iterations), each round's :attr:`RoundSolution.metrics
+    The ambient tracer receives the LP work counters: ``lp.rounds``
+    (fixpoint iterations), each round's :attr:`RoundSolution.metrics
     <repro.linear.backends.RoundSolution.metrics>` (the documented
     :data:`~repro.linear.backends.METRIC_KEYS` schema — ``lp.pivots``,
     ``lp.sparse_solves``, ``lp.float_solves``,
@@ -316,6 +315,7 @@ def acceptable_support(source: Expansion | PsiSystem,
     ``support.pins_linear``.
     """
     lp = get_backend(backend)
+    tracer = current_tracer()
     forward_hierarchy = hierarchy and backend_capabilities(lp).closed_form
     system = source if isinstance(source, PsiSystem) else build_system(source)
     entries = bound_entries(system)

@@ -11,14 +11,15 @@ answers that question:
   (monotone accumulators: compound classes enumerated, candidates pruned,
   memo hits, LP pivots, fallbacks), and **gauges** (last-value samples:
   cache occupancy);
-* :data:`~repro.obs.tracer.NULL_TRACER` — the disabled bus.  Every
-  instrumented call site accepts a tracer and defaults to this no-op
-  singleton, so the hot path pays a single dynamic dispatch per *batch* of
-  events (instrumented loops count locally and report once);
-* an **ambient tracer** (:func:`~repro.obs.tracer.use_tracer` /
-  :func:`~repro.obs.tracer.current_tracer`) so drivers like the benchmark
-  runner can profile whole workloads without threading a tracer through
-  every constructor;
+* :data:`~repro.obs.tracer.NULL_TRACER` — the disabled bus, a no-op
+  singleton, so the hot path pays a single dynamic dispatch per *batch*
+  of events (instrumented loops count locally and report once);
+* the **ambient tracer** (:func:`~repro.obs.tracer.use_tracer` /
+  :func:`~repro.obs.tracer.current_tracer`) — the only way code reaches
+  the bus.  Entry points own a tracer and install it with ``use_tracer``;
+  every layer underneath reads ``current_tracer()`` once per call, so a
+  cached pipeline records into whichever tracer is active for the call
+  at hand, not the one active when it was built;
 * a **versioned JSON-lines trace format**
   (:data:`~repro.obs.tracer.TRACE_SCHEMA_VERSION`) consumed by the CLI's
   ``--trace-out`` flag and the benchmark recorder.
@@ -27,7 +28,7 @@ Wiring: :class:`~repro.engine.pipeline.Pipeline` opens one span per stage,
 the expansion builder and the DPLL enumeration report pruning/memo
 counters, the LP backends report pivot/fallback/degeneracy metrics, and
 :class:`~repro.engine.session.SchemaSession` reports cache hit/miss/
-eviction gauges.  ``EngineConfig(trace=...)`` switches it all on.
+eviction gauges.  ``with use_tracer(Tracer()):`` switches it all on.
 """
 
 from .tracer import (
@@ -36,7 +37,6 @@ from .tracer import (
     SpanRecord,
     TRACE_SCHEMA_VERSION,
     Tracer,
-    as_tracer,
     current_tracer,
     use_tracer,
 )
@@ -47,7 +47,6 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "SpanRecord",
-    "as_tracer",
     "current_tracer",
     "use_tracer",
 ]

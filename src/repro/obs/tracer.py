@@ -2,17 +2,21 @@
 
 Design constraints, in order:
 
-1. **Near-zero cost when disabled.**  Instrumented call sites take a
-   ``tracer`` argument defaulting to :data:`NULL_TRACER`, whose methods are
-   empty and whose ``span()`` returns one reusable no-op context manager —
-   no allocation, no clock read.  Hot loops accumulate plain local
-   integers and report them with a single ``add()`` call at the end, so
-   the disabled path pays one no-op method call per loop, not per
-   iteration.
-2. **One bus, many layers.**  The same :class:`Tracer` instance travels
-   through pipeline, expansion, LP, and session code; event names are
-   dotted paths (``pipeline.expansion``, ``lp.pivots``,
-   ``session.cache_hits``) so a trace reads as a flat, greppable stream.
+1. **Near-zero cost when disabled.**  Instrumented code reaches the bus
+   only through :func:`current_tracer`, read once per call; it returns
+   :data:`NULL_TRACER` unless an entry point installed a tracer with
+   :func:`use_tracer`.  The null tracer's methods are empty and its
+   ``span()`` returns one reusable no-op context manager — no
+   allocation, no clock read.  Hot loops accumulate plain local integers
+   and report them with a single ``add()`` call at the end, so the
+   disabled path pays one no-op method call per loop, not per iteration.
+2. **One bus, many layers.**  Entry points (the CLI, the service, the
+   benchmark drivers) own a :class:`Tracer` and install it around the
+   work they trace; every layer underneath — pipeline, expansion, LP,
+   session, registry, query answering — records into whichever tracer is
+   ambient when it runs.  Event names are dotted paths
+   (``pipeline.expansion``, ``lp.pivots``, ``session.cache_hits``) so a
+   trace reads as a flat, greppable stream.
 3. **A versioned, line-oriented export.**  :meth:`Tracer.jsonl_lines`
    renders the trace as JSON lines — a header line carrying
    :data:`TRACE_SCHEMA_VERSION`, then one line per span in completion
@@ -37,7 +41,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "as_tracer",
     "current_tracer",
     "use_tracer",
 ]
@@ -80,9 +83,9 @@ class Tracer:
     A tracer is append-only during a run; :meth:`clear` resets it between
     runs (the benchmark driver does this per section).
 
-    One tracer may be shared by many threads (the query service's
-    ``ThreadingHTTPServer`` funnels every request thread into the session
-    bus): the open-span stack is thread-local so parent attribution never
+    One tracer may be shared by many threads (the query service installs
+    its tracer on every worker thread that dispatches a request): the
+    open-span stack is thread-local so parent attribution never
     crosses threads, and counter increments — a read-modify-write — are
     guarded by a lock.  Span/gauge recording relies on the atomicity of
     ``list.append`` and ``dict.__setitem__``.
@@ -213,10 +216,10 @@ _NULL_SPAN = _NullSpan()
 class NullTracer:
     """The disabled bus: every method is a no-op.
 
-    A single module-level instance (:data:`NULL_TRACER`) is the default of
-    every instrumented call site; ``tracer.enabled`` lets expensive
-    *event preparation* (string formatting, snapshotting) be skipped
-    entirely, not just the recording.
+    A single module-level instance (:data:`NULL_TRACER`) is the ambient
+    tracer wherever no entry point installed one; ``tracer.enabled`` lets
+    expensive *event preparation* (string formatting, snapshotting) be
+    skipped entirely, not just the recording.
     """
 
     __slots__ = ()
@@ -251,9 +254,9 @@ class NullTracer:
 
 NULL_TRACER = NullTracer()
 
-#: The ambient tracer: a context-scoped default so whole-process drivers
-#: (the benchmark runner, ad-hoc profiling) can enable tracing without
-#: threading a tracer through every constructor.
+#: The ambient tracer: the one route from instrumented code to the bus.
+#: Context-scoped, so concurrent requests on different threads each see
+#: the tracer their entry point installed.
 _CURRENT: ContextVar[Union[Tracer, NullTracer]] = ContextVar(
     "repro_tracer", default=NULL_TRACER)
 
@@ -272,18 +275,3 @@ def use_tracer(tracer: Union[Tracer, NullTracer]) -> Iterator[None]:
         yield
     finally:
         _CURRENT.reset(token)
-
-
-def as_tracer(trace: Union[bool, Tracer, NullTracer, None]
-              ) -> Union[Tracer, NullTracer]:
-    """Resolve an ``EngineConfig.trace`` value to a tracer instance.
-
-    ``False``/``None`` → the ambient tracer (usually :data:`NULL_TRACER`);
-    ``True`` → a fresh :class:`Tracer`; a tracer instance passes through
-    (the shared-bus case: one tracer across sessions and pipelines).
-    """
-    if trace is None or trace is False:
-        return current_tracer()
-    if trace is True:
-        return Tracer()
-    return trace

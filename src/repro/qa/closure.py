@@ -31,6 +31,7 @@ from ..core.budget import current_budget
 from ..core.cardinality import Card, INFINITY
 from ..core.schema import AttrRef
 from ..core.formulas import Lit
+from ..obs.tracer import current_tracer
 from ..reasoner.implication import (
     _has_supported_partner,
     _possible_compound_relations,
@@ -89,7 +90,7 @@ def build_closure_index(reasoner: Reasoner) -> ClosureIndex:
     :class:`~repro.core.errors.BudgetExceeded`).
     """
     tick = current_budget().tick
-    tracer = reasoner.tracer
+    tracer = current_tracer()
     schema = reasoner.schema
     with tracer.span("qa.closure_build"):
         classification = classify(reasoner)
@@ -180,7 +181,7 @@ def _relation_facts(reasoner: Reasoner, containing: dict, tick):
     role_fillers: dict[tuple[str, str], frozenset[str]] = {}
     for rdef in schema.relation_definitions:
         if n_supported ** rdef.arity > RELATION_ENUMERATION_CAP:
-            reasoner.tracer.add("qa.closure_relations_skipped")
+            current_tracer().add("qa.closure_relations_skipped")
             continue
         possible = list(_possible_compound_relations(reasoner, rdef.name))
         tick(max(len(possible), 1))

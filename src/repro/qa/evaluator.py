@@ -32,7 +32,7 @@ from typing import Iterable, Optional, Sequence, Union
 from ..core.budget import current_budget
 from ..core.formulas import Lit, conjunction
 from ..core.schema import AttrRef
-from ..obs.tracer import NULL_TRACER
+from ..obs.tracer import current_tracer
 from ..semantics.database import Database
 from ..semantics.interpretation import Interpretation
 from .ast import (
@@ -148,15 +148,14 @@ def _atom_rows(atom: Atom,
 
 def certain_answers(rewriter: QueryRewriter, query: ConjunctiveQuery,
                     database: Optional[Database] = None, *,
-                    reasoner=None,
-                    tracer=None) -> QueryAnswer:
+                    reasoner=None) -> QueryAnswer:
     """The certain answers of ``query`` over ``database`` (may be None).
 
     ``reasoner`` (a :class:`~repro.reasoner.satisfiability.Reasoner`) is
     consulted only for the inconsistency fallback; pass None to skip the
     check when the caller already knows the database is consistent.
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
+    tracer = current_tracer()
     rewrite = rewriter.rewrite(query)
     interpretation = database.snapshot() if database is not None else None
 

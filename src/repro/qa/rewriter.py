@@ -31,10 +31,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from ..core.budget import current_budget
-from ..obs.tracer import NULL_TRACER, NullTracer, Tracer
+from ..obs.tracer import current_tracer
 from .ast import (
     Atom,
     AttributeAtom,
@@ -77,10 +77,8 @@ class QueryRewriter:
     """
 
     def __init__(self, closure: ClosureIndex,
-                 tracer: Optional[Union[Tracer, NullTracer]] = None,
                  cache_limit: int = REWRITE_CACHE_LIMIT):
         self._closure = closure
-        self._tracer = tracer if tracer is not None else NULL_TRACER
         self._cache: OrderedDict[str, RewriteResult] = OrderedDict()
         self._cache_limit = cache_limit
 
@@ -90,7 +88,7 @@ class QueryRewriter:
 
     def rewrite(self, query: ConjunctiveQuery) -> RewriteResult:
         """The union of CQs whose plain evaluation gives certain answers."""
-        tracer = self._tracer
+        tracer = current_tracer()
         seed = canonical_query(query)
         key = render_query(seed)
         cached = self._cache.get(key)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from ..core.errors import ReasoningError
 from ..core.formulas import Formula, FormulaLike, as_formula
@@ -31,7 +31,7 @@ from ..expansion.expansion import Expansion
 from ..expansion.tables import SchemaTables
 from ..linear.support import SupportResult
 from ..linear.system import PsiSystem
-from ..obs.tracer import NullTracer, Tracer
+from ..obs.tracer import current_tracer
 
 __all__ = ["Reasoner", "CoherenceReport"]
 
@@ -68,19 +68,14 @@ class Reasoner:
     config:
         The :class:`~repro.engine.config.EngineConfig` carrying every
         pipeline knob; defaults to ``EngineConfig()``.
-    tracer:
-        Optional :class:`~repro.obs.tracer.Tracer` this reasoner's
-        pipeline (and any augmented pipelines it seeds) records into;
-        defaults to the config's ``trace`` setting.
     """
 
     def __init__(self, schema: Schema, *,
-                 config: Optional[EngineConfig] = None,
-                 tracer: Optional[Union[Tracer, NullTracer]] = None):
+                 config: Optional[EngineConfig] = None):
         if config is None:
             config = EngineConfig()
         self._config = config
-        self._pipeline = Pipeline(schema, config, tracer=tracer)
+        self._pipeline = Pipeline(schema, config)
         self._augmented_cache: OrderedDict[Formula, bool] = OrderedDict()
         self._min_witness: Optional[dict] = None
 
@@ -116,12 +111,6 @@ class Reasoner:
         return self._pipeline
 
     @property
-    def tracer(self) -> Union[Tracer, NullTracer]:
-        """The event/metric bus this reasoner records into
-        (:data:`~repro.obs.tracer.NULL_TRACER` when tracing is off)."""
-        return self._pipeline.tracer
-
-    @property
     def schema(self) -> Schema:
         return self._pipeline.schema
 
@@ -142,11 +131,6 @@ class Reasoner:
     @property
     def support(self) -> SupportResult:
         return self._pipeline.support
-
-    @property
-    def _schema(self) -> Schema:
-        # Backward-compatible alias (pre-engine attribute name).
-        return self._pipeline.schema
 
     @property
     def _precomputed_classes(self) -> Optional[tuple]:
@@ -253,8 +237,7 @@ class Reasoner:
         rebuild (the equivalence suite asserts this).
         """
         augmented = Reasoner(self.schema.with_class(cdef),
-                             config=self._config,
-                             tracer=self._pipeline.tracer)
+                             config=self._config)
         if self._pipeline.can_seed_augmented(cdef):
             self._pipeline.seed_augmented(augmented._pipeline, cdef)
         return augmented
@@ -262,7 +245,7 @@ class Reasoner:
     def _augmented_satisfiable(self, formula: Formula) -> bool:
         from ..core.schema import ClassDef
 
-        tracer = self._pipeline.tracer
+        tracer = current_tracer()
         cached = self._augmented_cache.get(formula)
         if cached is not None:
             tracer.add("reasoner.verdict_cache_hits")

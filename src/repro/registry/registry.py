@@ -41,7 +41,7 @@ from ..core.errors import (RegistryError, RegistryNotFound,
                            RegistryQuotaError, RegistrySizeError)
 from ..engine.config import EngineConfig
 from ..engine.session import SchemaSession, schema_fingerprint
-from ..obs.tracer import NULL_TRACER
+from ..obs.tracer import current_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.delta import RevalidationReport
@@ -140,7 +140,6 @@ class SchemaRegistry:
         self._entries: dict[tuple[str, str], list[SchemaVersion]] = {}
         self._inflight: dict[str, int] = {}
         self._lock = threading.RLock()
-        self._tracer = self.session.last_trace() or NULL_TRACER
 
     # ------------------------------------------------------------------
     # Writes
@@ -181,7 +180,7 @@ class SchemaRegistry:
             if prev is not None and prev.fingerprint == fingerprint:
                 from ..engine.delta import RevalidationReport
 
-                self._tracer.add("registry.put_deduped")
+                current_tracer().add("registry.put_deduped")
                 return prev, RevalidationReport(
                     mode="unchanged", fingerprint_old=prev.fingerprint,
                     fingerprint_new=fingerprint)
@@ -201,9 +200,10 @@ class SchemaRegistry:
                 revalidation=report.to_json())
             history.append(entry)
             self._prune(key)
-            self._tracer.add("registry.put")
-            self._tracer.gauge(f"registry.schemas.{tenant}",
-                               self._schema_count(tenant))
+            tracer = current_tracer()
+            tracer.add("registry.put")
+            tracer.gauge(f"registry.schemas.{tenant}",
+                         self._schema_count(tenant))
         return entry, report
 
     def _admit(self, tenant: str, name: str, prev: Optional[SchemaVersion],
@@ -245,7 +245,7 @@ class SchemaRegistry:
                     f"schema {key[1]!r} has {limit} pinned versions; "
                     f"unpin one before adding more")
             dropped = history.pop(prunable)
-            self._tracer.add("registry.pruned")
+            current_tracer().add("registry.pruned")
             self.session.invalidate(dropped.source)
 
     def pin(self, name: str, version: int, *, tenant: Optional[str] = None,
@@ -257,7 +257,7 @@ class SchemaRegistry:
             for i, entry in enumerate(history):
                 if entry.version == version:
                     history[i] = replace(entry, pinned=pinned)
-                    self._tracer.add("registry.pin")
+                    current_tracer().add("registry.pin")
                     return history[i]
         raise RegistryNotFound(
             f"schema {name!r} has no version {version} for tenant {tenant!r}")
@@ -288,9 +288,10 @@ class SchemaRegistry:
                 history.remove(removed[0])
                 if not history:
                     del self._entries[(tenant, name)]
-            self._tracer.add("registry.delete", len(removed))
-            self._tracer.gauge(f"registry.schemas.{tenant}",
-                               self._schema_count(tenant))
+            tracer = current_tracer()
+            tracer.add("registry.delete", len(removed))
+            tracer.gauge(f"registry.schemas.{tenant}",
+                         self._schema_count(tenant))
         for entry in removed:
             self.session.invalidate(entry.source,
                                     drop_artifacts=drop_artifacts)

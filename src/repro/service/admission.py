@@ -25,9 +25,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
-from ..obs.tracer import NULL_TRACER, NullTracer, Tracer
+from ..obs.tracer import current_tracer
 
 __all__ = ["AdmissionController", "AdmissionRejected", "AdmissionStats"]
 
@@ -86,13 +86,12 @@ class AdmissionController:
         with controller.admit():      # may raise AdmissionRejected
             ... answer the query ...
 
-    Counters surface on the tracer (``service.admitted``,
-    ``service.rejected``) and in :meth:`stats` for ``/metrics``.
+    Counters surface on the ambient tracer (``service.admitted``,
+    ``service.rejected_*``) and in :meth:`stats` for ``/metrics``.
     """
 
     def __init__(self, max_inflight: int = 8, max_queue: int = 16,
-                 queue_timeout: float = 0.5,
-                 tracer: Union[Tracer, NullTracer] = NULL_TRACER):
+                 queue_timeout: float = 0.5):
         if max_inflight < 1:
             raise ValueError(
                 f"max_inflight must be positive, got {max_inflight}")
@@ -104,7 +103,6 @@ class AdmissionController:
         self.max_inflight = max_inflight
         self.max_queue = max_queue
         self.queue_timeout = queue_timeout
-        self._tracer = tracer
         self._cond = threading.Condition()
         self._inflight = 0
         self._queued = 0
@@ -134,7 +132,7 @@ class AdmissionController:
                 return 0.0
             if self._queued >= self.max_queue:
                 self._rejected_queue_full += 1
-                self._tracer.add("service.rejected_queue_full")
+                current_tracer().add("service.rejected_queue_full")
                 raise AdmissionRejected(
                     f"admission queue full ({self._queued} waiting, "
                     f"{self._inflight} in flight)",
@@ -147,7 +145,7 @@ class AdmissionController:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         self._rejected_timeout += 1
-                        self._tracer.add("service.rejected_timeout")
+                        current_tracer().add("service.rejected_timeout")
                         raise AdmissionRejected(
                             f"no execution slot freed within "
                             f"{self.queue_timeout:g}s",
@@ -162,14 +160,15 @@ class AdmissionController:
         self._inflight += 1
         self._admitted += 1
         self._peak_inflight = max(self._peak_inflight, self._inflight)
-        self._tracer.add("service.admitted")
-        self._tracer.gauge("service.inflight", self._inflight)
+        tracer = current_tracer()
+        tracer.add("service.admitted")
+        tracer.gauge("service.inflight", self._inflight)
 
     def release(self) -> None:
         """Give an execution slot back and wake one queued waiter."""
         with self._cond:
             self._inflight -= 1
-            self._tracer.gauge("service.inflight", self._inflight)
+            current_tracer().gauge("service.inflight", self._inflight)
             if self._inflight == 0 and self._queued == 0:
                 self._cond.notify_all()  # wake wait_idle() too
             else:

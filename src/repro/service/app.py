@@ -80,7 +80,7 @@ from ..engine.artifact import ARTIFACT_SCHEMA_VERSION
 from ..engine.config import EngineConfig
 from ..engine.session import SchemaSession, schema_fingerprint
 from ..engine.stats import STATS_SCHEMA_VERSION
-from ..obs.tracer import TRACE_SCHEMA_VERSION, Tracer
+from ..obs.tracer import TRACE_SCHEMA_VERSION, Tracer, use_tracer
 from ..registry import RegistryConfig, SchemaRegistry
 from .admission import AdmissionController, AdmissionRejected
 from .cache import LruMemo, ResultCache
@@ -197,27 +197,22 @@ class ReproService:
         with ReproService(ServiceConfig(port=0)) as service:
             ...  # service.port is the bound ephemeral port
 
-    ``engine_config`` configures the underlying session; tracing is
-    forced on (``/metrics`` is the tracer's counters) unless the caller
-    supplied an explicit tracer to share.
+    ``engine_config`` configures the underlying session.  The service
+    owns one :class:`~repro.obs.tracer.Tracer` (:attr:`tracer`, the
+    counters of ``/metrics``) and installs it around every dispatch, so
+    each layer a request reaches records into it.
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None,
                  engine_config: Optional[EngineConfig] = None):
         self.config = config if config is not None else ServiceConfig()
-        engine_config = (engine_config if engine_config is not None
-                         else EngineConfig())
-        if engine_config.trace is False:
-            engine_config = engine_config.replace(trace=Tracer())
         self.session = SchemaSession(engine_config)
-        self.tracer = self.session.last_trace()
+        self.tracer = Tracer()
         self.admission = AdmissionController(
             max_inflight=self.config.max_inflight,
             max_queue=self.config.queue_depth,
-            queue_timeout=self.config.queue_timeout_s,
-            tracer=self.tracer)
-        self.cache = ResultCache(self.config.cache_limit,
-                                 tracer=self.tracer)
+            queue_timeout=self.config.queue_timeout_s)
+        self.cache = ResultCache(self.config.cache_limit)
         self.registry = SchemaRegistry(self.session, self.config.registry)
         self.latency = LatencyHistogram()
         self._schema_memo = LruMemo(limit=max(
@@ -289,7 +284,7 @@ class ReproService:
         start = time.perf_counter()
         request_id = new_request_id()
         self.tracer.add("service.requests")
-        with self.tracer.span("service.request"):
+        with use_tracer(self.tracer), self.tracer.span("service.request"):
             response = self._route(method, path, headers, body, request_id)
         return self._finish(response, start)
 
@@ -312,7 +307,8 @@ class ReproService:
         if method != "POST" or target != "/v1/satisfiable" \
                 or len(body) > 65_536 or self._draining.is_set():
             return None
-        data = self._peek_cached_verdict(headers, body)
+        with use_tracer(self.tracer):
+            data = self._peek_cached_verdict(headers, body)
         if data is None:
             return None
         start = time.perf_counter()

@@ -15,8 +15,8 @@ budget the client sent, not on the query, and an internal error must not
 become sticky.
 
 The cache is a plain lock-guarded LRU ``OrderedDict`` with hit / miss /
-eviction counters mirrored onto the tracer (``service.result_cache_*``)
-for ``/metrics``.
+eviction counters mirrored onto the ambient tracer
+(``service.result_cache_*``) for ``/metrics``.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
-from ..obs.tracer import NULL_TRACER, NullTracer, Tracer
+from ..obs.tracer import current_tracer
 
 __all__ = ["LruMemo", "ResultCache", "ResultCacheStats"]
 
@@ -60,12 +60,10 @@ class ResultCacheStats:
 class ResultCache:
     """A bounded, thread-safe LRU of ``(fingerprint, formula) -> verdict``."""
 
-    def __init__(self, limit: int = 1024,
-                 tracer: Union[Tracer, NullTracer] = NULL_TRACER):
+    def __init__(self, limit: int = 1024):
         if limit < 1:
             raise ValueError(f"cache limit must be positive, got {limit}")
         self.limit = limit
-        self._tracer = tracer
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple[str, str], bool]" = OrderedDict()
         self._hits = 0
@@ -88,42 +86,43 @@ class ResultCache:
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
-            self._tracer.add("service.result_cache_hits")
+            current_tracer().add("service.result_cache_hits")
             return verdict
 
     def get(self, fingerprint: str, formula: str) -> Optional[bool]:
         """The cached verdict, or None on a miss (verdicts are booleans,
         so None is unambiguous)."""
         key = (fingerprint, formula)
+        tracer = current_tracer()
         with self._lock:
             try:
                 verdict = self._entries[key]
             except KeyError:
                 self._misses += 1
-                self._tracer.add("service.result_cache_misses")
+                tracer.add("service.result_cache_misses")
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
-            self._tracer.add("service.result_cache_hits")
+            tracer.add("service.result_cache_hits")
             return verdict
 
     def put(self, fingerprint: str, formula: str, verdict: bool) -> None:
         """Store a completed verdict, evicting the LRU entry when full."""
         key = (fingerprint, formula)
+        tracer = current_tracer()
         with self._lock:
             self._entries[key] = verdict
             self._entries.move_to_end(key)
             while len(self._entries) > self.limit:
                 self._entries.popitem(last=False)
                 self._evictions += 1
-                self._tracer.add("service.result_cache_evictions")
-            self._tracer.gauge("service.result_cache_size",
-                               len(self._entries))
+                tracer.add("service.result_cache_evictions")
+            tracer.gauge("service.result_cache_size", len(self._entries))
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._tracer.gauge("service.result_cache_size", 0)
+            current_tracer().gauge("service.result_cache_size", 0)
 
     def __len__(self) -> int:
         with self._lock:

@@ -83,14 +83,6 @@ class TestCompiledSchema:
         pipeline.support
         assert set(pipeline.timer.readings()) == {"support"}
 
-    def test_trace_is_stripped_from_stored_config(self, tmp_path):
-        from repro.obs.tracer import Tracer
-
-        config, _ = fresh_cache(tmp_path, trace=Tracer())
-        artifact = compile_schema(SCHEMA, config)
-        assert artifact.config.trace is False
-        pickle.dumps(artifact)  # a live tracer here would fail to pickle
-
     def test_config_fingerprint_tracks_enumeration_knobs_only(self):
         base = EngineConfig()
         assert config_fingerprint(base) == config_fingerprint(
@@ -168,15 +160,16 @@ class TestArtifactCache:
         assert cache.load(fingerprint, config) is not None
 
     def test_counters(self, tmp_path):
-        from repro.obs.tracer import Tracer
+        from repro.obs.tracer import Tracer, use_tracer
 
         tracer = Tracer()
-        config = EngineConfig(artifact_dir=str(tmp_path / "cache"))
-        cache = ArtifactCache.from_config(config, tracer=tracer)
+        config, cache = fresh_cache(tmp_path)
         fingerprint = schema_fingerprint(SCHEMA)
-        cache.load(fingerprint, config)
-        cache.store(compile_schema(SCHEMA, config))
-        cache.load(fingerprint, config)
+        artifact = compile_schema(SCHEMA, config)
+        with use_tracer(tracer):
+            cache.load(fingerprint, config)
+            cache.store(artifact)
+            cache.load(fingerprint, config)
         assert tracer.counter("artifact.miss") == 1
         assert tracer.counter("artifact.save") == 1
         assert tracer.counter("artifact.hit") == 1
@@ -287,29 +280,29 @@ class TestArtifactCache:
 
 class TestSessionIntegration:
     def test_miss_persists_and_second_session_rehydrates(self, tmp_path):
-        config = EngineConfig(artifact_dir=str(tmp_path / "cache"),
-                              trace=True)
-        with SchemaSession(config) as session:
+        from repro.obs.tracer import Tracer, use_tracer
+
+        config = EngineConfig(artifact_dir=str(tmp_path / "cache"))
+        first, second = Tracer(), Tracer()
+        with SchemaSession(config) as session, use_tracer(first):
             assert session.satisfiable(SCHEMA, "Student") is True
-            counters = session.last_trace().counters
-            assert counters.get("artifact.save") == 1
-            assert counters.get("artifact.hit") is None
-        with SchemaSession(EngineConfig(
-                artifact_dir=str(tmp_path / "cache"),
-                trace=True)) as session:
+        assert first.counters.get("artifact.save") == 1
+        assert first.counters.get("artifact.hit") is None
+        with SchemaSession(config) as session, use_tracer(second):
             assert session.satisfiable(SCHEMA, "Student") is True
-            counters = session.last_trace().counters
-            assert counters.get("artifact.hit") == 1
-            # Rehydration pre-populates Phase 1/2; no expansion span ran.
-            assert session.last_trace().span_count("pipeline.expansion") == 0
+        assert second.counters.get("artifact.hit") == 1
+        # Rehydration pre-populates Phase 1/2; no expansion span ran.
+        assert second.span_count("pipeline.expansion") == 0
 
     def test_lazy_reasoner_does_not_persist_until_system_builds(
             self, tmp_path):
-        config = EngineConfig(artifact_dir=str(tmp_path / "cache"),
-                              trace=True)
-        with SchemaSession(config) as session:
+        from repro.obs.tracer import Tracer, use_tracer
+
+        config = EngineConfig(artifact_dir=str(tmp_path / "cache"))
+        tracer = Tracer()
+        with SchemaSession(config) as session, use_tracer(tracer):
             session.reasoner(SCHEMA)  # lazy: no stage built yet
-            assert session.last_trace().counter("artifact.save") == 0
+        assert tracer.counter("artifact.save") == 0
 
     def test_peek_compiled(self, tmp_path):
         config = EngineConfig(artifact_dir=str(tmp_path / "cache"))

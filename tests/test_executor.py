@@ -20,7 +20,7 @@ from repro.engine import (
     SchemaSession,
     schema_fingerprint,
 )
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, use_tracer
 from repro.parser.printer import render_schema
 from repro.workloads.generators import (
     clustered_schema,
@@ -154,7 +154,7 @@ class TestBatchExecutorSerial:
 
     def test_executor_counters(self):
         tracer = Tracer()
-        with BatchExecutor(tracer=tracer) as executor:
+        with BatchExecutor() as executor, use_tracer(tracer):
             executor.run([(GOOD, "A"), (GOOD, "B"), (CONTRADICTION, "C"),
                           ("class ((", "A")])
         assert tracer.counters["executor.tasks_dispatched"] == 4
@@ -179,8 +179,8 @@ class TestBatchExecutorPools:
 
     def test_pool_reused_across_runs(self):
         tracer = Tracer()
-        with BatchExecutor(jobs=2, mode="process",
-                           tracer=tracer) as executor:
+        with BatchExecutor(jobs=2, mode="process") as executor, \
+                use_tracer(tracer):
             executor.run([(GOOD, "A")])
             executor.run([(GOOD, "B")])
         assert tracer.counters["executor.pool_reuse"] == 1

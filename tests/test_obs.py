@@ -2,14 +2,12 @@
 
 Covers the event/metric bus itself (spans, counters, gauges, the versioned
 JSON-lines export), its wiring through every pipeline layer (expansion
-counters, LP metrics, session cache gauges), the ambient-tracer mechanism,
-the ``EngineConfig.trace`` switch, and the typed stats dataclasses with
-their deprecated dict-compat shim.
+counters, LP metrics, session cache gauges), the ambient tracer — the only
+route from a layer to the bus, read at call time — and the typed stats
+dataclasses.
 """
 
 import json
-
-import pytest
 
 from repro.engine.config import EngineConfig
 from repro.engine.session import SchemaSession
@@ -23,7 +21,6 @@ from repro.obs.tracer import (
     TRACE_SCHEMA_VERSION,
     NullTracer,
     Tracer,
-    as_tracer,
     current_tracer,
     use_tracer,
 )
@@ -144,16 +141,6 @@ class TestAmbientTracer:
             assert current_tracer() is tracer
         assert current_tracer() is NULL_TRACER
 
-    def test_as_tracer_resolution(self):
-        tracer = Tracer()
-        assert as_tracer(tracer) is tracer
-        assert as_tracer(False) is NULL_TRACER
-        assert as_tracer(None) is NULL_TRACER
-        assert isinstance(as_tracer(True), Tracer)
-        with use_tracer(tracer):
-            # False defers to the ambient tracer.
-            assert as_tracer(False) is tracer
-
     def test_pipeline_picks_up_ambient_tracer(self):
         tracer = Tracer()
         with use_tracer(tracer):
@@ -162,35 +149,62 @@ class TestAmbientTracer:
         assert tracer.counter("expansion.compound_classes") > 0
 
 
-class TestConfigTraceField:
-    def test_trace_excluded_from_equality_and_hash(self):
-        plain = EngineConfig()
-        traced = EngineConfig(trace=True)
-        assert plain == traced
-        assert hash(plain) == hash(traced)
+class TestPerCallTracing:
+    """Layers read the ambient tracer when they run, not when they were
+    built: a cached pipeline reports to whoever is asking now."""
 
-    def test_invalid_trace_rejected(self):
-        from repro.core.errors import ReasoningError
+    #: Two clusters of G_S: {A, B, C} and {X, Y, Z}.
+    TWO_CLUSTERS = """
+    class A endclass
+    class B isa A and not C endclass
+    class C isa A endclass
+    class X endclass
+    class Y isa X and not Z endclass
+    class Z isa X endclass
+    """
 
-        with pytest.raises(ReasoningError):
-            EngineConfig(trace="yes")
+    def test_cached_pipeline_records_into_the_calling_tracer(self):
+        session = SchemaSession()
+        first, second = Tracer(), Tracer()
+        with use_tracer(first):
+            session.reasoner(ATTR_SOURCE)  # lazy: builds no stage
+        with use_tracer(second):
+            assert session.satisfiable(ATTR_SOURCE, "Employee") is True
+        assert second.span_count("pipeline.support") == 1
+        assert second.counter("session.cache_hits") == 1
+        assert not [span for span in first.spans
+                    if span.name.startswith("pipeline.")]
 
-    def test_tracer_resolution(self):
-        shared = Tracer()
-        assert EngineConfig(trace=shared).tracer() is shared
-        assert EngineConfig().tracer() is NULL_TRACER
-        assert isinstance(EngineConfig(trace=True).tracer(), Tracer)
+    def test_delta_and_augmented_rebuilds_count_dpll_work(self):
+        from repro.parser.parser import parse_formula
 
-    def test_as_dict_renders_trace_as_bool(self):
-        assert EngineConfig(trace=Tracer()).as_dict()["trace"] is True
-        assert EngineConfig().as_dict()["trace"] is False
+        old = self.TWO_CLUSTERS
+        new = old.replace("class Z isa X endclass",
+                          "class Z isa X and not Y endclass")
+        session = SchemaSession(EngineConfig(strategy="strategic"))
+        _ = session.reasoner(old).pipeline.support
+        edit = Tracer()
+        with use_tracer(edit):
+            reasoner, report = session.update(old, new)
+        assert report.mode == "delta"
+        assert edit.counter("registry.rebuilt") == 1
+        assert edit.counter("expansion.dpll_branches") > 0
+
+        # B and Y sit in different clusters: the augmented path re-runs
+        # DPLL on the merged cluster.
+        query = Tracer()
+        with use_tracer(query):
+            assert reasoner.is_formula_satisfiable(
+                parse_formula("B and Y")) is True
+        assert query.span_count("pipeline.augmented_seed") == 1
+        assert query.counter("expansion.dpll_branches") > 0
 
 
 class TestExpansionCounters:
     def test_pruning_and_memo_counters(self):
         tracer = Tracer()
-        reasoner = Reasoner(parse_schema(ATTR_SOURCE), tracer=tracer)
-        reasoner.expansion
+        with use_tracer(tracer):
+            Reasoner(parse_schema(ATTR_SOURCE)).expansion
         examined = tracer.counter("expansion.candidates_examined")
         pruned = tracer.counter("expansion.candidates_pruned")
         classes = tracer.counter("expansion.compound_classes")
@@ -208,15 +222,15 @@ class TestExpansionCounters:
 
         tracer = Tracer()
         config = EngineConfig(strategy="strategic")
-        reasoner = Reasoner(clustered_schema(2, 3, seed=0), config=config,
-                            tracer=tracer)
-        reasoner.expansion
+        with use_tracer(tracer):
+            Reasoner(clustered_schema(2, 3, seed=0), config=config).expansion
         assert tracer.counter("expansion.dpll_branches") > 0
         assert tracer.counter("expansion.compound_classes") > 0
 
     def test_hierarchy_closed_form_counter(self):
         tracer = Tracer()
-        Reasoner(parse_schema(ATTR_SOURCE), tracer=tracer).expansion
+        with use_tracer(tracer):
+            Reasoner(parse_schema(ATTR_SOURCE)).expansion
         assert tracer.counter("expansion.hierarchy_closed_form") == 1
 
 
@@ -227,8 +241,9 @@ class TestLpMetrics:
 
         tracer = Tracer()
         # Without the hierarchy hint, so the simplex runs.
-        acceptable_support(build_expansion(parse_schema(CARD_SOURCE)),
-                           backend="exact-sparse", tracer=tracer)
+        with use_tracer(tracer):
+            acceptable_support(build_expansion(parse_schema(CARD_SOURCE)),
+                               backend="exact-sparse")
         assert tracer.counter("lp.rounds") >= 1
         assert tracer.counter("lp.sparse_solves") >= 1
         assert tracer.counter("lp.pivots") > 0
@@ -242,8 +257,8 @@ class TestLpMetrics:
                             lambda groups, rows: None)
         tracer = Tracer()
         expansion = build_expansion(parse_schema(CARD_SOURCE))
-        result = acceptable_support(expansion, backend="float-fallback",
-                                    tracer=tracer)
+        with use_tracer(tracer):
+            result = acceptable_support(expansion, backend="float-fallback")
         assert result.backend_used == "exact-sparse"
         assert tracer.counter("lp.float_exact_fallbacks") >= 1
         assert tracer.counter("lp.float_solves") == 0
@@ -261,8 +276,8 @@ class TestLpMetrics:
             lambda groups, rows: [1e-7] * len(groups))
         tracer = Tracer()
         expansion = build_expansion(parse_schema(CARD_SOURCE))
-        result = acceptable_support(expansion, backend="float-fallback",
-                                    tracer=tracer)
+        with use_tracer(tracer):
+            result = acceptable_support(expansion, backend="float-fallback")
         assert result.backend_used == "exact-sparse"
         assert tracer.counter("lp.degenerate_detections") >= 1
         assert tracer.counter("lp.float_exact_fallbacks") >= 1
@@ -275,8 +290,9 @@ class TestLpMetrics:
         class A isa not B attributes a : (1, 2) B endclass
         class B isa not A and not B endclass
         """
-        reasoner = Reasoner(parse_schema(source), tracer=tracer)
-        reasoner.support
+        reasoner = Reasoner(parse_schema(source))
+        with use_tracer(tracer):
+            reasoner.support
         pinned = sum(tracer.counter(f"support.pins_{phase}")
                      for phase in ("acceptability", "propagation", "linear"))
         assert pinned == len(reasoner.support.pin_log)
@@ -285,31 +301,30 @@ class TestLpMetrics:
 
 class TestSessionObservability:
     def test_cache_counters_and_gauge(self):
-        session = SchemaSession(EngineConfig(trace=True))
-        session.satisfiable(ATTR_SOURCE, "Employee")
-        session.satisfiable(ATTR_SOURCE, "Student")
-        tracer = session.last_trace()
-        assert tracer is not None and tracer.enabled
+        session = SchemaSession()
+        tracer = Tracer()
+        with use_tracer(tracer):
+            session.satisfiable(ATTR_SOURCE, "Employee")
+            session.satisfiable(ATTR_SOURCE, "Student")
         assert tracer.counter("session.cache_misses") == 1
         assert tracer.counter("session.cache_hits") == 1
         assert tracer.gauges["session.cache_size"] == 1
 
     def test_eviction_counter(self):
-        session = SchemaSession(EngineConfig(trace=True,
-                                             session_cache_limit=1))
-        session.satisfiable(ATTR_SOURCE, "Employee")
-        session.satisfiable(CARD_SOURCE, "C")
-        assert session.last_trace().counter("session.cache_evictions") == 1
-
-    def test_last_trace_none_when_disabled(self):
-        assert SchemaSession().last_trace() is None
+        session = SchemaSession(EngineConfig(session_cache_limit=1))
+        tracer = Tracer()
+        with use_tracer(tracer):
+            session.satisfiable(ATTR_SOURCE, "Employee")
+            session.satisfiable(CARD_SOURCE, "C")
+        assert tracer.counter("session.cache_evictions") == 1
 
     def test_shared_tracer_instance(self):
+        # One bus across sessions: both report into the installed tracer.
         shared = Tracer()
-        session = SchemaSession(EngineConfig(trace=shared))
-        session.satisfiable(ATTR_SOURCE, "Employee")
-        assert session.last_trace() is shared
-        assert shared.counter("session.cache_misses") == 1
+        with use_tracer(shared):
+            SchemaSession().satisfiable(ATTR_SOURCE, "Employee")
+            SchemaSession().satisfiable(CARD_SOURCE, "C")
+        assert shared.counter("session.cache_misses") == 2
 
 
 class TestTypedStats:
@@ -334,27 +349,30 @@ class TestTypedStats:
         assert info.hit_rate == 0.5
         assert info.to_json()["hit_rate"] == 0.5
 
-    def test_session_cache_info_alias(self):
-        from repro.engine.session import SessionCacheInfo
-
-        assert SessionCacheInfo is SessionStats
-
 
 class TestNearZeroDisabledCost:
-    def test_reasoner_defaults_to_null_tracer(self):
-        reasoner = Reasoner(parse_schema(ATTR_SOURCE))
-        assert reasoner.tracer is NULL_TRACER
-        reasoner.is_satisfiable("Employee")
-        assert reasoner.tracer.snapshot()["counters"] == {}
+    def test_reasoner_defaults_to_null_tracer(self, monkeypatch):
+        # Outside any use_tracer scope every layer reports to the null bus.
+        reported = []
+        monkeypatch.setattr(NullTracer, "add",
+                            lambda self, name, amount=1: reported.append(name))
+        Reasoner(parse_schema(ATTR_SOURCE)).is_satisfiable("Employee")
+        assert "expansion.compound_classes" in reported
+        assert current_tracer() is NULL_TRACER
 
-    def test_null_tracer_is_shared_not_allocated(self):
-        first = Reasoner(parse_schema(ATTR_SOURCE))
-        second = Reasoner(parse_schema(CARD_SOURCE))
-        assert first.tracer is second.tracer is NULL_TRACER
+    def test_null_tracer_is_shared_not_allocated(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("an untraced run allocated a Tracer")
+
+        monkeypatch.setattr(Tracer, "__init__", refuse)
+        Reasoner(parse_schema(ATTR_SOURCE)).is_satisfiable("Employee")
+        SchemaSession().satisfiable(CARD_SOURCE, "C")
 
     def test_verdicts_identical_with_and_without_tracing(self):
         schema = parse_schema(CARD_SOURCE)
-        traced = Reasoner(schema, tracer=Tracer())
+        traced = Reasoner(schema)
         plain = Reasoner(schema)
         for name in sorted(schema.class_symbols):
-            assert traced.is_satisfiable(name) == plain.is_satisfiable(name)
+            with use_tracer(Tracer()):
+                verdict = traced.is_satisfiable(name)
+            assert verdict == plain.is_satisfiable(name)

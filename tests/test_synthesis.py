@@ -250,11 +250,10 @@ class TestMinimizedWitnessParity:
         assert sum(sparse.values()) == sum(dense.values())
         self.assert_verifies(result, sparse)
 
-    def test_figure2(self, monkeypatch):
-        # 450 LP column groups: past the 60-group gate, so lift it.  The
-        # dense reference takes about 50 s here; its optimum, measured
-        # once, is the pinned total mass of 262.
-        monkeypatch.setattr(support_module, "EXACT_BACKEND_LIMIT", 10 ** 6)
+    def test_figure2(self):
+        # 450 LP column groups.  The dense reference takes about 50 s
+        # here; its optimum, measured once, is the pinned total mass of
+        # 262.
         result, sparse = self.minimized(figure2_schema())
         assert sum(sparse.values()) == 262
         self.assert_verifies(result, sparse)
