@@ -71,8 +71,11 @@ __all__ = [
 #: rebuilds from source.  v2 added the optional :class:`SupportSnapshot`
 #: (support verdicts keyed by unknown, consumed by delta revalidation);
 #: v3 added the optional query-rewriting
-#: :class:`~repro.qa.closure.ClosureIndex`.
-ARTIFACT_SCHEMA_VERSION = 3
+#: :class:`~repro.qa.closure.ClosureIndex`; v4 made ``Ψ_S`` integer and
+#: stores its views built once (unknown and constraint tuples, endpoint
+#: tuples, bound entries), and per-attribute-endpoint clustering changed
+#: some cluster partitions.
+ARTIFACT_SCHEMA_VERSION = 4
 
 #: Environment variable overriding the default artifact directory
 #: (useful for tests and hermetic CI runs).

@@ -425,11 +425,12 @@ def merge_support(system: PsiSystem, seed: DeltaSupportSeed, *,
     for unknown, phase, reason, round_number in snapshot.pins:
         pins_by_unknown.setdefault(unknown, []).append(
             (phase, reason, round_number))
+    zero = Fraction(0)
     for i in reused_indices:
         unknown = unknowns[i]
         if unknown in snapshot.supported:
             support.add(i)
-        values[i] = old_values.get(unknown, Fraction(0))
+        values[i] = old_values.get(unknown, zero)
         for phase, reason, round_number in pins_by_unknown.get(unknown, ()):
             pin_log.append(PinEvent(i, phase, reason, round_number))
 
@@ -439,7 +440,7 @@ def merge_support(system: PsiSystem, seed: DeltaSupportSeed, *,
     if stats is not None:
         stats["support_blocks_reused"] = blocks_reused
         stats["support_blocks_solved"] = blocks_solved
-    full_solution = {i: values.get(i, Fraction(0))
+    full_solution = {i: values.get(i, zero)
                      for i in range(system.n_unknowns())}
     return SupportResult(system, frozenset(support), full_solution, rounds,
                          backend_used, tuple(pin_log))

@@ -6,8 +6,9 @@ components of ``G_S`` are the paper's **clusters**; compound classes then
 only mix classes of a single cluster, which can shrink the expansion
 dramatically.
 
-Our arc set follows the paper's three criteria and errs on the side of
-*more* arcs (extra arcs only weaken the optimization, never correctness):
+Our arc set follows the paper's three criteria, plus a fourth that
+mirrors the third for attributes, and errs on the side of *more* arcs
+(extra arcs only weaken the optimization, never correctness):
 
 1. ``C2`` appears positively in the isa-formula of ``C1`` — arc ``C1–C2``;
 2. classes appearing positively in the attribute part of the same class
@@ -16,7 +17,15 @@ Our arc set follows the paper's three criteria and errs on the side of
    inverse links);
 3. for each relation role, classes appearing positively in the role's
    formulae across all role-clauses are pairwise connected, and classes
-   *participating* in that role are connected to them as well.
+   *participating* in that role are connected to them as well;
+4. for each endpoint of each attribute ``a``, the classes that can stand
+   there are pairwise connected.  The filler side of ``a`` groups the
+   positive filler classes of every ``a`` spec with the classes declaring
+   ``(inv a)``; the domain side groups the classes declaring ``a`` with
+   the positive filler classes of every ``(inv a)`` spec.  Without it, a
+   class declaring ``(inv a) : (1, 1) A`` while disjoint from ``A`` lost
+   its only arc in step 3, although each of its instances is the filler
+   of some ``A`` and so belongs to that ``a`` spec's filler class.
 
 Arcs between pairs the disjointness table already proves disjoint are
 removed (the paper's step 3).
@@ -88,6 +97,19 @@ def schema_graph(schema: Schema,
             group = role_groups.setdefault((spec.relation, spec.role), set())
             group.add(cdef.name)
     for group in role_groups.values():
+        connect_all(group)
+
+    # Criterion 4: per attribute endpoint, the classes declaring the
+    # reference on that side plus the positive fillers of the reference
+    # pointing the other way.  Keyed by (attribute, is the filler side).
+    endpoint_groups: dict[tuple[str, bool], set[str]] = {}
+    for cdef in schema.class_definitions:
+        for spec in cdef.attributes:
+            name, inverse = spec.ref.name, spec.ref.inverse
+            endpoint_groups.setdefault((name, inverse), set()).add(cdef.name)
+            endpoint_groups.setdefault((name, not inverse), set()).update(
+                _positive(spec.filler))
+    for group in endpoint_groups.values():
         connect_all(group)
 
     # Step 3 of the construction: drop arcs between provably disjoint pairs.

@@ -258,14 +258,14 @@ def grouped_columns(system: PsiSystem, active: Sequence[int],
 
     Returns ``(groups, rows)``: ``groups`` is a list of variable-index
     tuples; ``rows`` a list of ``{group_index: coefficient}`` dicts, one per
-    constraint that still touches an active unknown.  With
-    ``merge_columns=False`` every unknown stays in its own group (the
-    ablation baseline).
+    constraint that still touches an active unknown, with the system's
+    integer coefficients.  With ``merge_columns=False`` every unknown stays
+    in its own group (the ablation baseline).
     """
     active_set = set(active)
-    signatures: dict[int, list[tuple[int, Fraction]]] = {v: [] for v in active}
+    signatures: dict[int, list[tuple[int, int]]] = {v: [] for v in active}
     live_rows = 0
-    raw_rows: list[dict[int, Fraction]] = []
+    raw_rows: list[dict[int, int]] = []
     for constraint in system.constraints:
         touched = {var: coeff for var, coeff in constraint.coefficients
                    if var in active_set}
@@ -278,9 +278,9 @@ def grouped_columns(system: PsiSystem, active: Sequence[int],
             signatures[var].append((row_index, coeff))
 
     groups_by_signature: dict[tuple, list[int]] = {}
-    unknowns = system.unknowns
+    classes = system.class_unknown_indices()
     for var in active:
-        if not merge_columns or isinstance(unknowns[var], frozenset):
+        if not merge_columns or var in classes:
             # Compound-class unknowns stay singleton: the stored witness
             # concentrates each group's value on one representative, and
             # model synthesis needs every supported compound class to carry
@@ -292,9 +292,9 @@ def grouped_columns(system: PsiSystem, active: Sequence[int],
     groups = [tuple(members) for members in groups_by_signature.values()]
     group_of = {var: g for g, members in enumerate(groups) for var in members}
 
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict[int, int]] = []
     for touched in raw_rows:
-        row: dict[int, Fraction] = {}
+        row: dict[int, int] = {}
         for var, coeff in touched.items():
             # Identical columns by construction: the group coefficient is the
             # (shared) member coefficient, and the group variable stands for
@@ -317,9 +317,10 @@ def _concentrated(groups, values, backend_used: str,
     """
     per_unknown: dict[int, Fraction] = {}
     supported: set[int] = set()
+    zero = Fraction(0)
     for members, value in zip(groups, values):
         for var in members:
-            per_unknown[var] = Fraction(0)
+            per_unknown[var] = zero
         if value > 0:
             per_unknown[members[0]] = value
             supported.update(members)
@@ -471,7 +472,7 @@ def repair_float_witness(groups, rows, values,
     if not support_cols or len(support_cols) > EXACT_BACKEND_LIMIT:
         return None
     position = {g: j for j, g in enumerate(support_cols)}
-    restricted_rows: list[dict[int, Fraction]] = []
+    restricted_rows: list[dict[int, int]] = []
     for row in rows:
         touched = {position[g]: coeff for g, coeff in row.items() if g in position}
         # A dropped column with positive coefficient only relaxes the row,

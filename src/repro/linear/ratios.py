@@ -85,13 +85,14 @@ def population_ratio_bounds(support: SupportResult, numerator: str,
     # unknowns, which stay in singleton groups.
     groups, rows = grouped_columns(system, columns)
 
+    unknowns = system.unknowns
+    classes = system.class_unknown_indices()
+
     def class_weights(name: str) -> dict[int, int]:
         weights = {}
         for g, members in enumerate(groups):
-            inside = sum(
-                1 for var in members
-                if isinstance(system.unknowns[var], frozenset)
-                and name in system.unknowns[var])
+            inside = sum(1 for var in members
+                         if var in classes and name in unknowns[var])
             if inside:
                 weights[g] = inside
         return weights

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -173,8 +174,9 @@ class SparseTableau:
             nic = row_i[c]
             # row_i ← row_i·prc − nic·row_r  (den_i ← den_i·prc), touching
             # only row_i's nonzeros plus row_r's support.
-            for j in row_i:
-                row_i[j] *= prc
+            if prc != 1:
+                for j in row_i:
+                    row_i[j] *= prc
             for j, vrj in row_r.items():
                 delta = nic * vrj
                 cur = row_i.get(j)
@@ -207,8 +209,9 @@ class SparseTableau:
         prc = self.num[r][c]
         oc = self.obj_num[c]
         obj = self.obj_num
-        for j in obj:
-            obj[j] *= prc
+        if prc != 1:
+            for j in obj:
+                obj[j] *= prc
         for j, vrj in self.num[r].items():
             delta = oc * vrj
             cur = obj.get(j)
@@ -243,38 +246,62 @@ class SparseTableau:
         of the integer numerator — ``obj_den > 0`` is an invariant).
         Leaving: the minimum-ratio row, ties broken toward the smallest
         basic variable; ratios compare by integer cross-multiplication.
+
+        The entering column comes from a min-heap of columns whose reduced
+        cost was positive when pushed; entries gone nonpositive are popped
+        lazily.  A pivot rescales the objective row by the (positive) pivot
+        element, which keeps every sign, and subtracts a multiple of the
+        pivot row, so only the pivot row's columns can turn positive: they
+        alone are pushed again.  The heap thus yields exactly the column a
+        full scan of the reduced costs would, pivot for pivot.
+
         Each iteration ticks the ambient
         :class:`~repro.core.budget.Budget`, so a deadline or step bound
         interrupts long pivot sequences with
         :class:`~repro.core.errors.BudgetExceeded`.
         """
         tick = current_budget().tick
+        obj = self.obj_num
+        heap = [j for j, v in obj.items() if v > 0]
+        heapify(heap)
+        queued = set(heap)
         while True:
             tick()
-            entering = min(
-                (j for j, v in self.obj_num.items() if v > 0), default=-1)
-            if entering < 0:
+            while heap and obj.get(heap[0], 0) <= 0:
+                queued.discard(heappop(heap))
+            if not heap:
                 return OPTIMAL
-            leaving = -1
-            best_num = best_den = 0  # best ratio = best_num / best_den
-            for i in self.cols.get(entering, ()):  # only rows with the column
-                coeff = self.num[i][entering]
-                if coeff <= 0:
-                    continue
-                # ratio rhs[i]/coeff vs best: cross-multiply (both dens > 0)
-                if leaving < 0:
-                    better = True
-                else:
-                    lhs = self.rhs[i] * best_den
-                    rhs = best_num * coeff
-                    better = lhs < rhs or (lhs == rhs
-                                           and self.basis[i]
-                                           < self.basis[leaving])
-                if better:
-                    leaving, best_num, best_den = i, self.rhs[i], coeff
+            entering = heap[0]
+            leaving = self.leaving_row(entering)
             if leaving < 0:
                 return UNBOUNDED
             self.pivot(leaving, entering)
+            for j in self.num[leaving]:
+                if j not in queued and obj.get(j, 0) > 0:
+                    heappush(heap, j)
+                    queued.add(j)
+
+    def leaving_row(self, entering: int) -> int:
+        """The minimum-ratio row for ``entering``, ties broken toward the
+        smallest basic variable; -1 when no row bounds the column."""
+        leaving = -1
+        best_num = best_den = 0  # best ratio = best_num / best_den
+        for i in self.cols.get(entering, ()):  # only rows with the column
+            coeff = self.num[i][entering]
+            if coeff <= 0:
+                continue
+            # ratio rhs[i]/coeff vs best: cross-multiply (both dens > 0)
+            if leaving < 0:
+                better = True
+            else:
+                lhs = self.rhs[i] * best_den
+                rhs = best_num * coeff
+                better = lhs < rhs or (lhs == rhs
+                                       and self.basis[i]
+                                       < self.basis[leaving])
+            if better:
+                leaving, best_num, best_den = i, self.rhs[i], coeff
+        return leaving
 
     def feasible(self) -> bool:
         """The feasibility phase: False when ``Ax ≤ b, x ≥ 0`` is empty.
@@ -389,13 +416,14 @@ def solve_max_support_sparse(groups, rows) -> tuple[list[Fraction], int]:
     """The max-support LP over grouped columns.
 
     ``groups`` come from :func:`~repro.linear.backends.grouped_columns`,
-    ``rows`` are sparse ``{group: Fraction}`` dicts.  Maximizes ``Σ t_g``
-    subject to the rows, ``t_g ≤ x_g`` and ``t_g ≤ 1``: every right-hand
-    side is nonnegative, so this is a single run of primal simplex with no
-    feasibility phase.  Returns ``(group x-values, pivot count)``.
+    ``rows`` are sparse ``{group: int}`` dicts (``Ψ_S`` is integer).
+    Maximizes ``Σ t_g`` subject to the rows, ``t_g ≤ x_g`` and
+    ``t_g ≤ 1``: every right-hand side is nonnegative, so this is a single
+    run of primal simplex with no feasibility phase.  Returns ``(group
+    x-values, pivot count)``.
     """
     k = len(groups)
-    int_rows = [_integer_row(row, Fraction(0))[0] for row in rows]
+    int_rows = list(rows)
     rhs = [0] * len(int_rows)
     for g in range(k):
         int_rows.append({g: -1, k + g: 1})   # t_g - x_g ≤ 0
@@ -431,20 +459,20 @@ def hierarchy_witness(system: PsiSystem,
     disequation (inactive unknowns at zero) and the acceptability condition,
     so a ``None`` result (construction or verification failed) simply sends
     the caller to the ordinary LP — the closed form can never change a
-    verdict, only skip the solver.
+    verdict, only skip the solver.  The verification runs in integers, on
+    the witness scaled by the lcm of the live-summand counts (every share
+    ``mass / count`` becomes whole); ``Ψ_S`` is homogeneous, so scaling
+    keeps every row's sign.
     """
     active_set = set(active)
-    values: dict[int, Fraction] = {}
     for index in active_set:
         if any(endpoint not in active_set
                for endpoint in system.endpoints_of(index)):
             return None  # acceptability not yet propagated; let the LP pin
-    for index in system.class_unknown_indices():
-        if index in active_set:
-            values[index] = Fraction(1)
+    shares: list[tuple[tuple[int, ...], int]] = []  # (live summands, mass)
     assigned: set[int] = set()
     for class_index, summands, card, _origin in bound_entries(system):
-        live = [s for s in summands if s in active_set]
+        live = tuple(s for s in summands if s in active_set)
         if not live:
             # The lower row needs live partners when the class is active —
             # the propagation rules pin such classes before we get here.
@@ -460,20 +488,30 @@ def hierarchy_witness(system: PsiSystem,
         mass = card.upper if card.upper is not INFINITY else max(card.lower, 1)
         if mass <= 0:
             return None
-        share = Fraction(mass, len(live))
         for s in live:
             if s in assigned:
                 return None  # coupled entries (inverses/relations): use LP
-            values[s] = share
             assigned.add(s)
-    for index in active_set:
-        values.setdefault(index, Fraction(1))  # unconstrained compounds
+        shares.append((live, mass))
     # The safety net making the closed form unconditionally sound: every
     # disequation re-checked exactly, like any other backend certificate.
-    zero = Fraction(0)
+    scale = lcm(*(len(live) for live, _mass in shares))
+    scaled = [0] * system.n_unknowns()
+    for index in active_set:
+        scaled[index] = scale  # classes and unconstrained compounds: 1
+    for live, mass in shares:
+        share = mass * scale // len(live)
+        for s in live:
+            scaled[s] = share
     for constraint in system.constraints:
-        total = sum((coeff * values.get(var, zero)
-                     for var, coeff in constraint.coefficients), zero)
+        total = 0
+        for var, coeff in constraint.coefficients:
+            total += coeff * scaled[var]
         if total > 0:
             return None
+    values = dict.fromkeys(active_set, Fraction(1))
+    for live, mass in shares:
+        share = Fraction(mass, len(live))
+        for s in live:
+            values[s] = share
     return values

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Optional, Sequence
 
@@ -112,10 +113,23 @@ class SupportResult:
     def is_supported(self, unknown: Unknown) -> bool:
         return self.system.index_of(unknown) in self.support
 
-    def supported_compound_classes(self) -> list[frozenset]:
-        """Compound classes that can be simultaneously nonempty."""
-        return [unknown for i, unknown in enumerate(self.system.unknowns)
-                if i in self.support and isinstance(unknown, frozenset)]
+    def supported_compound_classes(self) -> tuple[frozenset, ...]:
+        """Compound classes that can be simultaneously nonempty, in unknown
+        order (computed once per result)."""
+        return self._supported_classes
+
+    @cached_property
+    def _supported_classes(self) -> tuple[frozenset, ...]:
+        unknowns = self.system.unknowns
+        support = self.support
+        return tuple(unknowns[i] for i in self.system.class_unknown_indices()
+                     if i in support)
+
+    @cached_property
+    def supported_class_names(self) -> frozenset[str]:
+        """The class symbols some supported compound class contains: the
+        satisfiable classes (Theorem 3.3), one set lookup per verdict."""
+        return frozenset().union(*self._supported_classes)
 
     def integer_solution(self, scale: int = 1) -> dict[int, int]:
         """An integer witness: clear denominators, then multiply by ``scale``.
@@ -182,7 +196,8 @@ def minimize_witness(result: "SupportResult",
                                      merge_columns)
     if per_unknown is None:
         return None
-    return {index: per_unknown.get(index, Fraction(0))
+    zero = Fraction(0)
+    return {index: per_unknown.get(index, zero)
             for index in range(result.system.n_unknowns())}
 
 
@@ -202,14 +217,13 @@ def _minimized_witness(system: PsiSystem, active: list[int],
     groups, rows = grouped_columns(system, active, merge_columns)
     if not groups:
         return {}
-    unknowns = system.unknowns
-    is_class_group = [isinstance(unknowns[members[0]], frozenset)
-                      for members in groups]
+    classes = system.class_unknown_indices()
+    is_class_group = [members[0] in classes for members in groups]
 
-    lower_rows: list[dict[int, Fraction]] = []
+    lower_rows: list[dict[int, int]] = []
     for g, is_class in enumerate(is_class_group):
         if is_class:
-            lower_rows.append({g: Fraction(-1)})  # -x_g ≤ -1
+            lower_rows.append({g: -1})  # -x_g ≤ -1
 
     values: Optional[list[Fraction]] = None
     floats = _solve_float_min(groups, rows, lower_rows)
@@ -232,9 +246,10 @@ def _minimized_witness(system: PsiSystem, active: list[int],
         return None
 
     per_unknown: dict[int, Fraction] = {}
+    zero = Fraction(0)
     for members, value in zip(groups, values):
         for var in members:
-            per_unknown[var] = Fraction(0)
+            per_unknown[var] = zero
         if value > 0:
             per_unknown[members[0]] = value
     return per_unknown
@@ -361,7 +376,8 @@ def acceptable_support(source: Expansion | PsiSystem,
             tally[event.phase] = tally.get(event.phase, 0) + 1
         for phase, count in tally.items():
             tracer.add(f"support.pins_{phase}", count)
-    full_solution = {index: values.get(index, Fraction(0))
+    zero = Fraction(0)
+    full_solution = {index: values.get(index, zero)
                      for index in range(system.n_unknowns())}
     return SupportResult(system, frozenset(active), full_solution, rounds,
                          backend_used, tuple(log))

@@ -20,7 +20,6 @@ scale to integer ones (Theorem 4.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Union
 
 from ..core.cardinality import INFINITY
@@ -39,11 +38,12 @@ Unknown = Union[frozenset, CompoundAttribute, CompoundRelation]
 class Constraint:
     """A sparse disequation ``Σ coeff_i · x_i ≤ 0`` over unknown indices.
 
-    ``origin`` records which ``Natt``/``Nrel`` entry produced it (useful in
-    diagnostics and in the Theorem 4.3 size measurements).
+    The coefficients are integers: the schema's cardinality bounds and
+    ``±1``.  ``origin`` records which ``Natt``/``Nrel`` entry produced it
+    (useful in diagnostics and in the Theorem 4.3 size measurements).
     """
 
-    coefficients: tuple[tuple[int, Fraction], ...]
+    coefficients: tuple[tuple[int, int], ...]
     origin: str
 
     def nonzeros(self) -> int:
@@ -51,34 +51,40 @@ class Constraint:
 
 
 class PsiSystem:
-    """``Ψ_S``: indexed unknowns plus homogeneous ``≤ 0`` constraints."""
+    """``Ψ_S``: indexed unknowns plus homogeneous ``≤ 0`` constraints.
+
+    Every view the support computation reads is built once here: the
+    unknowns and constraints as tuples, the compound-class indices, each
+    unknown's endpoint indices, and the per-entry view of
+    :func:`bound_entries`.
+    """
 
     def __init__(self, expansion: Expansion):
         self.expansion = expansion
-        self._unknowns: list[Unknown] = []
+        unknowns: list[Unknown] = []
         self._index: dict[Unknown, int] = {}
-        self._constraints: list[Constraint] = []
-
         for members in expansion.compound_classes:
-            self._register(members)
+            self._register(unknowns, members)
         for compounds in expansion.compound_attributes.values():
             for compound in compounds:
-                self._register(compound)
+                self._register(unknowns, compound)
         for compounds in expansion.compound_relations.values():
             for compound in compounds:
-                self._register(compound)
-
-        self._build_attribute_constraints()
-        self._build_relation_constraints()
+                self._register(unknowns, compound)
+        self._unknowns: tuple[Unknown, ...] = tuple(unknowns)
+        # Compound classes are registered first, so their indices form a
+        # prefix of the unknowns.
+        self._class_indices = range(len(expansion.compound_classes))
+        self._endpoints = tuple(self._endpoint_indices(unknown)
+                                for unknown in unknowns)
+        self._entries, self._constraints = self._build_rows()
 
     # ------------------------------------------------------------------
-    def _register(self, unknown: Unknown) -> int:
+    def _register(self, unknowns: list[Unknown], unknown: Unknown) -> None:
         if unknown in self._index:
             raise LinearSystemError(f"duplicate unknown {unknown!r}")
-        index = len(self._unknowns)
-        self._unknowns.append(unknown)
-        self._index[unknown] = index
-        return index
+        self._index[unknown] = len(unknowns)
+        unknowns.append(unknown)
 
     def index_of(self, unknown: Unknown) -> int:
         try:
@@ -86,58 +92,66 @@ class PsiSystem:
         except KeyError:
             raise LinearSystemError(f"unknown not in system: {unknown!r}") from None
 
-    # ------------------------------------------------------------------
-    def _add_bounds(self, class_index: int, summand_indices: Sequence[int],
-                    lower: int, upper, origin: str) -> None:
-        """Emit ``lower·x_C - Σ x_i ≤ 0`` and ``Σ x_i - upper·x_C ≤ 0``."""
-        if lower > 0:
-            coeffs: dict[int, Fraction] = {class_index: Fraction(lower)}
-            for i in summand_indices:
-                coeffs[i] = coeffs.get(i, Fraction(0)) - 1
-            self._constraints.append(Constraint(
-                tuple(sorted(coeffs.items())), f"{origin} lower {lower}"))
-        if upper is not INFINITY:
-            coeffs = {class_index: Fraction(-upper)}
-            for i in summand_indices:
-                coeffs[i] = coeffs.get(i, Fraction(0)) + 1
-            self._constraints.append(Constraint(
-                tuple(sorted(coeffs.items())), f"{origin} upper {upper}"))
+    def _endpoint_indices(self, unknown: Unknown) -> tuple[int, ...]:
+        if isinstance(unknown, CompoundAttribute):
+            return (self.index_of(unknown.left), self.index_of(unknown.right))
+        if isinstance(unknown, CompoundRelation):
+            return tuple(self.index_of(members)
+                         for _, members in unknown.assignment)
+        return ()
 
-    def _build_attribute_constraints(self) -> None:
+    # ------------------------------------------------------------------
+    def _build_rows(self):
+        """The bound entries (in ``Natt``/``Nrel`` order) and the
+        constraint rows (sorted by entry), from one summand lookup per
+        entry.  Row order steers the simplex's tie-breaks, so it must not
+        change."""
         expansion = self.expansion
-        for (members, ref), card in sorted(
-                expansion.natt.items(),
-                key=lambda item: (sorted(item[0][0]), item[0][1].name, item[0][1].inverse)):
-            class_index = self.index_of(members)
+        index_of = self.index_of
+        entries = []
+        attribute_rows = []
+        for (members, ref), card in expansion.natt.items():
             if ref.inverse:
                 summands = expansion.attributes_with_right(ref.name, members)
             else:
                 summands = expansion.attributes_with_left(ref.name, members)
-            indices = [self.index_of(compound) for compound in summands]
-            origin = f"Natt {{{', '.join(sorted(members))}}} => {ref}"
-            self._add_bounds(class_index, indices, card.lower, card.upper, origin)
-
-    def _build_relation_constraints(self) -> None:
-        expansion = self.expansion
-        for (members, relation, role), card in sorted(
-                expansion.nrel.items(),
-                key=lambda item: (sorted(item[0][0]), item[0][1], item[0][2])):
-            class_index = self.index_of(members)
+            class_index = index_of(members)
+            indices = tuple(index_of(s) for s in summands)
+            label = ", ".join(sorted(members))
+            entries.append((class_index, indices, card,
+                            f"{{{label}}} => {ref} : {card}"))
+            attribute_rows.append(((sorted(members), ref.name, ref.inverse),
+                                   class_index, indices, card,
+                                   f"Natt {{{label}}} => {ref}"))
+        relation_rows = []
+        for (members, relation, role), card in expansion.nrel.items():
             summands = expansion.relations_with_role(relation, role, members)
-            indices = [self.index_of(compound) for compound in summands]
-            origin = f"Nrel {{{', '.join(sorted(members))}}} => {relation}[{role}]"
-            self._add_bounds(class_index, indices, card.lower, card.upper, origin)
+            class_index = index_of(members)
+            indices = tuple(index_of(s) for s in summands)
+            label = ", ".join(sorted(members))
+            entries.append((class_index, indices, card,
+                            f"{{{label}}} => {relation}[{role}] : {card}"))
+            relation_rows.append(((sorted(members), relation, role),
+                                  class_index, indices, card,
+                                  f"Nrel {{{label}}} => {relation}[{role}]"))
+        constraints: list[Constraint] = []
+        for rows in (attribute_rows, relation_rows):
+            rows.sort(key=lambda row: row[0])
+            for _key, class_index, indices, card, origin in rows:
+                _add_bounds(constraints, class_index, indices, card.lower,
+                            card.upper, origin)
+        return tuple(entries), tuple(constraints)
 
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
     @property
     def unknowns(self) -> tuple[Unknown, ...]:
-        return tuple(self._unknowns)
+        return self._unknowns
 
     @property
     def constraints(self) -> tuple[Constraint, ...]:
-        return tuple(self._constraints)
+        return self._constraints
 
     def n_unknowns(self) -> int:
         return len(self._unknowns)
@@ -152,26 +166,38 @@ class PsiSystem:
         """The paper's ``|Ψ_S|``: unknowns plus total constraint entries."""
         return self.n_unknowns() + self.n_nonzeros()
 
-    def class_unknown_indices(self) -> list[int]:
+    def class_unknown_indices(self) -> range:
         """Indices of the unknowns standing for compound classes."""
-        return [i for i, unknown in enumerate(self._unknowns)
-                if isinstance(unknown, frozenset)]
+        return self._class_indices
 
-    def endpoints_of(self, index: int) -> list[int]:
+    def endpoints_of(self, index: int) -> tuple[int, ...]:
         """Indices of the compound-class unknowns that must be positive for
         unknown ``index`` to be positive in an *acceptable* solution."""
-        unknown = self._unknowns[index]
-        if isinstance(unknown, CompoundAttribute):
-            return [self.index_of(unknown.left), self.index_of(unknown.right)]
-        if isinstance(unknown, CompoundRelation):
-            return [self.index_of(members) for _, members in unknown.assignment]
-        return []
+        return self._endpoints[index]
 
     def describe(self) -> str:
         lines = [f"Psi_S: {self.n_unknowns()} unknowns, "
                  f"{self.n_constraints()} disequations, "
                  f"{self.n_nonzeros()} nonzero coefficients"]
         return "\n".join(lines)
+
+
+def _add_bounds(constraints: list[Constraint], class_index: int,
+                summand_indices: Sequence[int], lower: int, upper,
+                origin: str) -> None:
+    """Emit ``lower·x_C - Σ x_i ≤ 0`` and ``Σ x_i - upper·x_C ≤ 0``."""
+    if lower > 0:
+        coeffs: dict[int, int] = {class_index: lower}
+        for i in summand_indices:
+            coeffs[i] = coeffs.get(i, 0) - 1
+        constraints.append(Constraint(
+            tuple(sorted(coeffs.items())), f"{origin} lower {lower}"))
+    if upper is not INFINITY:
+        coeffs = {class_index: -upper}
+        for i in summand_indices:
+            coeffs[i] = coeffs.get(i, 0) + 1
+        constraints.append(Constraint(
+            tuple(sorted(coeffs.items())), f"{origin} upper {upper}"))
 
 
 def build_system(expansion: Expansion) -> PsiSystem:
@@ -186,24 +212,6 @@ def bound_entries(system: PsiSystem):
     the propagation rules of :mod:`repro.linear.support` and the §4.4
     closed form of :mod:`repro.linear.sparse` both reason entry-by-entry
     rather than row-by-row (an entry owns its lower *and* upper row).
+    Built once with the system; ``summand_indices`` is a tuple.
     """
-    expansion = system.expansion
-    entries = []
-    for (members, ref), card in expansion.natt.items():
-        class_index = system.index_of(members)
-        if ref.inverse:
-            summands = expansion.attributes_with_right(ref.name, members)
-        else:
-            summands = expansion.attributes_with_left(ref.name, members)
-        origin = f"{{{', '.join(sorted(members))}}} => {ref} : {card}"
-        entries.append((class_index,
-                        tuple(system.index_of(s) for s in summands), card,
-                        origin))
-    for (members, relation, role), card in expansion.nrel.items():
-        class_index = system.index_of(members)
-        summands = expansion.relations_with_role(relation, role, members)
-        origin = f"{{{', '.join(sorted(members))}}} => {relation}[{role}] : {card}"
-        entries.append((class_index,
-                        tuple(system.index_of(s) for s in summands), card,
-                        origin))
-    return entries
+    return system._entries

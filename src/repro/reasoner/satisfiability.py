@@ -143,7 +143,7 @@ class Reasoner:
         ``expansion``, ``system``, ``support``, ``augmented_query``, …)."""
         return self._pipeline.timer.readings()
 
-    def supported_compound_classes(self) -> list[frozenset]:
+    def supported_compound_classes(self) -> tuple[frozenset, ...]:
         """Compound classes that are nonempty in some model (all of them
         simultaneously, by closure of acceptable solutions under addition)."""
         return self.support.supported_compound_classes()
@@ -157,8 +157,7 @@ class Reasoner:
         if class_name not in self.schema.class_symbols:
             raise ReasoningError(
                 f"class {class_name!r} does not occur in the schema")
-        return any(class_name in members
-                   for members in self.supported_compound_classes())
+        return class_name in self.support.supported_class_names
 
     def is_formula_satisfiable(self, formula: FormulaLike) -> bool:
         """Is there a model with an object satisfying ``formula``?
@@ -302,7 +301,8 @@ class Reasoner:
         base = self._min_witness
         denominators = [v.denominator for v in base.values()] or [1]
         factor = lcm(*denominators) * scale
-        return {self.system.unknowns[index]: int(value * factor)
+        unknowns = self.system.unknowns
+        return {unknowns[index]: int(value * factor)
                 for index, value in base.items()}
 
     def population_ratio(self, numerator: str, denominator: str):

@@ -51,7 +51,7 @@ class Database:
         self._attributes: dict[str, set[tuple[Obj, Obj]]] = {}
         self._relations: dict[str, set[LabeledTuple]] = {}
         self._in_transaction = False
-        self._supported_compounds: Optional[list[frozenset]] = None
+        self._supported_compounds: Optional[tuple[frozenset, ...]] = None
 
     # ------------------------------------------------------------------
     # Mutations
@@ -166,7 +166,7 @@ class Database:
     # ------------------------------------------------------------------
     # Type inference (applications named in Section 2.3)
     # ------------------------------------------------------------------
-    def _compounds(self) -> list[frozenset]:
+    def _compounds(self) -> tuple[frozenset, ...]:
         if self._supported_compounds is None:
             from ..reasoner.satisfiability import Reasoner
 

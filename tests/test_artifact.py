@@ -74,6 +74,22 @@ class TestCompiledSchema:
         assert clone.expansion.compound_classes == \
             artifact.expansion.compound_classes
 
+    def test_rehydrated_system_is_integer(self, tmp_path):
+        """Ψ_S stays integer through the cache: every coefficient of a
+        rehydrated system is an ``int``."""
+        config, cache = fresh_cache(tmp_path)
+        artifact = compile_schema("""
+            class A attributes a : (1, 2) B endclass
+            class B attributes (inv a) : (0, 3) A endclass
+        """, config)
+        assert cache.store(artifact)
+        loaded = cache.load(artifact.fingerprint, config)
+        assert loaded is not None
+        coefficients = [coeff for constraint in loaded.system.constraints
+                        for _, coeff in constraint.coefficients]
+        assert coefficients
+        assert all(type(coeff) is int for coeff in coefficients)
+
     def test_rehydrated_pipeline_skips_phase_one(self, tmp_path):
         config, _ = fresh_cache(tmp_path)
         artifact = compile_schema(SCHEMA, config)

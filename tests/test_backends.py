@@ -452,3 +452,54 @@ class TestClosedForm:
             assert result.support == reference.support
         finally:
             backends._REGISTRY.pop("test-strict", None)
+
+    def test_integer_check_rejects_a_violation_below_one(self):
+        """The §4.4 check runs on the witness scaled to integers, so a row
+        the witness violates by a fraction of one object still fails.
+        ``A`` has one ``a``-filler entry with two live summands and one
+        ``b``-filler entry with three, both of mass 1: the witness gives
+        them 1/2 and 1/3, and ``x_a - x_b ≤ 0`` fails by 1/6."""
+        from repro.core.cardinality import Card
+        from repro.core.formulas import Clause, Formula, Lit
+        from repro.core.schema import Attr, ClassDef, Schema
+        from repro.linear.sparse import hierarchy_witness
+        from repro.linear.system import Constraint, PsiSystem, bound_entries
+
+        def isa(*lits):
+            return Formula(tuple(Clause((lit,)) for lit in lits))
+
+        schema = Schema([
+            ClassDef("T"),
+            ClassDef("A", isa(Lit("T"), ~Lit("F"), ~Lit("H")),
+                     [Attr("a", Card(1, 1), "F"), Attr("b", Card(1, 1), "H")]),
+            ClassDef("F", isa(Lit("T"), ~Lit("H"))),
+            ClassDef("G", isa(Lit("F"))),
+            ClassDef("H", isa(Lit("T"))),
+            ClassDef("H1", isa(Lit("H"), ~Lit("H2"))),
+            ClassDef("H2", isa(Lit("H"))),
+        ])
+        expansion = build_expansion(schema)
+        system = build_system(expansion)
+        everything = list(range(system.n_unknowns()))
+        assert hierarchy_witness(system, everything) is not None
+        by_size = {len(summands): (summands, card)
+                   for _, summands, card, _ in bound_entries(system)}
+        assert sorted(by_size) == [2, 3]
+        (a_summands, a_card), (b_summands, b_card) = by_size[2], by_size[3]
+        assert a_card == b_card == Card(1, 1)
+        extra = Constraint(((a_summands[0], 1), (b_summands[0], -1)),
+                           "x_a - x_b <= 0")
+
+        class WithExtraRow(PsiSystem):
+            @property
+            def constraints(self):
+                return super().constraints + (extra,)
+
+        violated = WithExtraRow(expansion)
+        assert hierarchy_witness(violated, everything) is None
+        flagged = acceptable_support(violated, backend="exact-sparse",
+                                     hierarchy=True)
+        plain = acceptable_support(violated, backend="exact-sparse")
+        assert flagged.backend_used == "exact-sparse"
+        assert flagged.support == plain.support
+        assert len(plain.support) == system.n_unknowns()

@@ -17,7 +17,7 @@ refutes models up to its size bound — so we check:
 * Theorem 4.6: imposing cross-cluster disjointness preserves every verdict.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.cardinality import Card
 from repro.core.formulas import Clause, Formula, Lit
@@ -77,6 +77,29 @@ def oracle_and_reasoner(schema: Schema, target: str):
     return model, reasoner.is_satisfiable(target)
 
 
+#: ``C`` is disjoint from ``A`` but each instance is the ``a``-filler of an
+#: ``A``, so a ``B``: a model is ``A={o1}``, ``B=C={o2}``, ``a={(o1,o2)}``.
+#: The strategic pipeline must not cluster ``C`` alone, although its only
+#: criterion-2 arc, to ``A``, is dropped as disjoint.
+INVERSE_FILLER_SCHEMA = Schema([
+    ClassDef("A", Formula(()), [Attr("a", Card(0, 1), Lit("B"))]),
+    ClassDef("B", Formula(())),
+    ClassDef("C", Formula((Clause((~Lit("A"),)),)),
+             [Attr(inv("a"), Card(1, 1), Lit("A"))]),
+])
+
+
+def test_inverse_filler_class_is_satisfiable():
+    model = brute_force_find_model(INVERSE_FILLER_SCHEMA, "C",
+                                   max_size=ORACLE_SIZE)
+    assert model is not None and is_model(model, INVERSE_FILLER_SCHEMA)
+    for strategy in ("naive", "strategic"):
+        for backend in ("auto", "exact-sparse", "float-fallback"):
+            reasoner = Reasoner(INVERSE_FILLER_SCHEMA, config=EngineConfig(
+                strategy=strategy, lp_backend=backend))
+            assert reasoner.is_satisfiable("C"), (strategy, backend)
+
+
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(small_schemas(), st.sampled_from(CLASS_NAMES))
@@ -94,6 +117,7 @@ def test_reasoner_complete_wrt_oracle(schema, target):
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(small_schemas(), st.sampled_from(CLASS_NAMES))
+@example(INVERSE_FILLER_SCHEMA, "C")
 def test_unsat_verdicts_have_no_small_countermodel(schema, target):
     model, verdict = oracle_and_reasoner(schema, target)
     if not verdict:
@@ -103,6 +127,7 @@ def test_unsat_verdicts_have_no_small_countermodel(schema, target):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(small_schemas(), st.sampled_from(CLASS_NAMES))
+@example(INVERSE_FILLER_SCHEMA, "C")
 def test_strategies_agree(schema, target):
     naive = Reasoner(schema, config=EngineConfig(strategy="naive")).is_satisfiable(target)
     strategic = Reasoner(schema, config=EngineConfig(strategy="strategic")).is_satisfiable(target)

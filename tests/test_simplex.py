@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.errors import LinearSystemError
 from repro.linear import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from repro.linear.sparse import SparseTableau
 
 from . import dense_reference
 
@@ -160,3 +161,120 @@ class TestAgainstDenseReference:
             for row, bound in zip(a_ub, b_ub):
                 assert sum(a * v for a, v in zip(row, x)) <= bound
             assert sum(a * v for a, v in zip(c, x)) == exact.objective
+
+
+class FullScanTableau(SparseTableau):
+    """Bland's entering rule as a full scan of the reduced-cost row: the
+    reference the heap-driven :meth:`SparseTableau.run` must match pivot
+    for pivot."""
+
+    def run(self):
+        while True:
+            entering = min(
+                (j for j, v in self.obj_num.items() if v > 0), default=-1)
+            if entering < 0:
+                return OPTIMAL
+            leaving = self.leaving_row(entering)
+            if leaving < 0:
+                return UNBOUNDED
+            self.pivot(leaving, entering)
+
+
+class Recording:
+    """Mixin logging every pivot as ``(row, column, pivot element)``."""
+
+    def __init__(self, *args):
+        self.trail = []
+        super().__init__(*args)
+
+    def pivot(self, r, c):
+        self.trail.append((r, c, self.num[r][c]))
+        super().pivot(r, c)
+
+
+class RecordingHeap(Recording, SparseTableau):
+    pass
+
+
+class RecordingScan(Recording, FullScanTableau):
+    pass
+
+
+def random_max_support_lp(seed):
+    """A Ψ_S-shaped max-support LP: homogeneous rows (one class column
+    weighted by a bound, summands at ±1, or random small integers), plus
+    ``t_g - x_g ≤ 0`` and ``t_g ≤ 1``, maximizing ``Σ t_g``."""
+    rng = random.Random(seed)
+    k = rng.randint(2, 10)
+    rows, rhs = [], []
+    for _ in range(rng.randint(1, 2 * k)):
+        columns = rng.sample(range(k), rng.randint(1, min(k, 4)))
+        if rng.random() < 0.5:
+            head, *summands = columns
+            sign = rng.choice((1, -1))
+            row = {head: sign * rng.randint(0, 3)}
+            row.update((s, -sign) for s in summands)
+        else:
+            row = {j: rng.choice((-3, -2, -1, 1, 2, 3)) for j in columns}
+        rows.append(row)
+        rhs.append(0)
+    for g in range(k):
+        rows.append({g: -1, k + g: 1})
+        rhs.append(0)
+        rows.append({k + g: 1})
+        rhs.append(1)
+    return rows, rhs, {k + g: 1 for g in range(k)}, 2 * k
+
+
+def random_feasibility_lp(seed):
+    """Integer rows with negative right-hand sides (so artificial columns
+    and the feasibility phase), boxed to stay bounded."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    rows, rhs = [], []
+    for _ in range(rng.randint(2, 7)):
+        rows.append({j: rng.randint(-3, 3) for j in range(n)})
+        rhs.append(rng.randint(-5, 6))
+    for j in range(n):
+        rows.append({j: 1})
+        rhs.append(rng.randint(1, 10))
+    objective = {j: rng.randint(-4, 4) for j in range(n)}
+    return rows, rhs, objective, n
+
+
+def run_tableau(cls, rows, rhs, objective, n):
+    tableau = cls(rows, rhs, objective, n)
+    if not tableau.feasible():
+        status = INFEASIBLE
+    else:
+        status = tableau.run()
+    solution = tableau.solution() if status == OPTIMAL else None
+    return status, tableau.pivots, list(tableau.basis), solution, tableau.trail
+
+
+class TestBlandHeapParity:
+    """The heap that supplies Bland's entering column picks, pivot for
+    pivot, the column a full scan of the reduced costs picks: same status,
+    pivot count, pivot sequence, final basis and solution."""
+
+    SEEDS = range(60)
+
+    @pytest.mark.parametrize("shape", (random_max_support_lp,
+                                       random_feasibility_lp))
+    def test_same_pivots_as_full_scan(self, shape):
+        statuses = set()
+        total_pivots = 0
+        non_unit_pivots = 0
+        for seed in self.SEEDS:
+            problem = shape(seed)
+            heap = run_tableau(RecordingHeap, *problem)
+            scan = run_tableau(RecordingScan, *problem)
+            assert heap == scan, f"seed {seed}"
+            statuses.add(heap[0])
+            total_pivots += heap[1]
+            non_unit_pivots += sum(element != 1 for _, _, element in heap[4])
+        # The draws exercise long pivot sequences and scaled pivots.
+        assert total_pivots >= 2 * len(self.SEEDS)
+        assert non_unit_pivots > 0
+        if shape is random_feasibility_lp:
+            assert {OPTIMAL, INFEASIBLE} <= statuses

@@ -36,6 +36,20 @@ class TestSystemConstruction:
         system = build_system(build_expansion(schema))
         assert system.n_constraints() == 0
 
+    def test_views_are_built_once(self):
+        """The unknowns and constraints are stored tuples, not copies made
+        per access (callers index them inside loops)."""
+        schema = parse_schema("""
+            class A attributes a : (1, 2) B endclass
+            class B endclass
+        """)
+        system = build_system(build_expansion(schema))
+        assert system.unknowns is system.unknowns
+        assert system.constraints is system.constraints
+        assert system.constraints
+        assert all(type(coeff) is int for constraint in system.constraints
+                   for _, coeff in constraint.coefficients)
+
     def test_endpoints_of(self):
         schema = Schema([
             ClassDef("A", attributes=[Attr("x", Card(1, 1), "B")]),
