@@ -658,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument(positional, help=positional_help)
         sub.add_argument("--strategy", default="auto",
-                         choices=("auto", "naive", "strategic", "hierarchy"),
+                         choices=EngineConfig.STRATEGIES,
                          help="compound-class enumeration strategy")
         sub.add_argument("--backend", default="auto", metavar="NAME",
                          help="LP backend for the support computation: a "
@@ -787,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="schema file to pre-build pipelines for "
                             "(repeatable)")
     serve.add_argument("--strategy", default="auto",
-                       choices=("auto", "naive", "strategic", "hierarchy"),
+                       choices=EngineConfig.STRATEGIES,
                        help="compound-class enumeration strategy")
     serve.add_argument("--backend", default="auto", metavar="NAME",
                        help="LP backend for the support computation: a "

@@ -10,7 +10,7 @@ parallel benchmarks showed process mode *losing* to serial.  This module is
 the fix:
 
 * :class:`CompiledSchema` — a frozen, picklable snapshot of those products
-  plus the cluster/hierarchy metadata, versioned by
+  plus the cluster partition, versioned by
   :data:`ARTIFACT_SCHEMA_VERSION` and keyed by the schema fingerprint and
   :func:`config_fingerprint`;
 * :class:`ArtifactCache` — a fingerprint-keyed disk cache of pickled
@@ -74,8 +74,10 @@ __all__ = [
 #: :class:`~repro.qa.closure.ClosureIndex`; v4 made ``Ψ_S`` integer and
 #: stores its views built once (unknown and constraint tuples, endpoint
 #: tuples, bound entries), and per-attribute-endpoint clustering changed
-#: some cluster partitions.
-ARTIFACT_SCHEMA_VERSION = 4
+#: some cluster partitions; v5 dropped the stored §4.4 hierarchy flag —
+#: ``Expansion.strategy`` records the Phase-1 route that ran instead of
+#: the requested strategy.
+ARTIFACT_SCHEMA_VERSION = 5
 
 #: Environment variable overriding the default artifact directory
 #: (useful for tests and hermetic CI runs).
@@ -196,7 +198,6 @@ class CompiledSchema:
     expansion: "Expansion"
     system: "PsiSystem"
     clusters: Optional[tuple[frozenset, ...]]
-    hierarchy_effective: Optional[bool]
     #: Support verdicts, present only when the support stage had been
     #: solved by compile() time.  Optional so snapshots stay shareable
     #: across LP backends (the support itself is backend-independent) and

@@ -32,8 +32,10 @@ class EngineConfig:
     Parameters
     ----------
     strategy:
-        Compound-class enumeration strategy — ``"auto"`` (default),
-        ``"naive"``, ``"strategic"``, or ``"hierarchy"``.
+        Compound-class enumeration strategy — ``"auto"`` (default: the
+        §4.4 closed form for hierarchies, else strategic), ``"naive"``, or
+        ``"strategic"``.  The route that actually ran is recorded on
+        ``Expansion.strategy``.
     size_limit:
         Optional guard on the expansion size; exceeding it raises
         :class:`~repro.core.errors.ReasoningError` instead of running out
@@ -43,9 +45,6 @@ class EngineConfig:
         (``"auto"``, ``"exact-sparse"``, ``"float-fallback"`` — see
         :mod:`repro.linear.backends`) or an
         :class:`~repro.linear.backends.LpBackend` instance.
-    incremental_augmented:
-        Reuse the compound classes of clusters untouched by a query class
-        when answering augmented (cross-cluster) queries.
     use_propagation / merge_columns:
         The two support-computation optimizations; disabled only by the
         ablation benchmarks, never changing verdicts.
@@ -70,7 +69,6 @@ class EngineConfig:
     strategy: str = "auto"
     size_limit: Optional[int] = None
     lp_backend: str = "auto"
-    incremental_augmented: bool = True
     use_propagation: bool = True
     merge_columns: bool = True
     augmented_cache_limit: int = 256
@@ -78,8 +76,7 @@ class EngineConfig:
     artifact_dir: Optional[str] = field(default=None, compare=False)
 
     #: The recognized enumeration strategies (see ``repro.expansion``).
-    STRATEGIES: ClassVar[tuple[str, ...]] = (
-        "auto", "naive", "strategic", "hierarchy")
+    STRATEGIES: ClassVar[tuple[str, ...]] = ("auto", "naive", "strategic")
 
     def __post_init__(self) -> None:
         if self.strategy not in self.STRATEGIES:

@@ -240,7 +240,8 @@ def seed_delta(pipeline: "Pipeline", prev: "CompiledSchema",
     * a ``naive`` strategy enumerates globally, so there is no per-cluster
       reuse unit;
     * a schema the §4.4 closed form covers is answered faster by the
-      closed form than by any reuse;
+      closed form than by any reuse (the pipeline keeps the tables this
+      test built);
     * a previous artifact without a cluster partition has nothing to match
       against.
     """
@@ -250,7 +251,7 @@ def seed_delta(pipeline: "Pipeline", prev: "CompiledSchema",
     from ..expansion.tables import build_tables
 
     config = pipeline.config
-    if config.strategy not in ("auto", "strategic") or prev.clusters is None:
+    if config.strategy == "naive" or prev.clusters is None:
         return False
     tracer = current_tracer()
     with tracer.span("pipeline.delta_seed"), \
@@ -260,6 +261,7 @@ def seed_delta(pipeline: "Pipeline", prev: "CompiledSchema",
         if (config.strategy == "auto"
                 and hierarchy_compound_classes(new_schema, tables)
                 is not None):
+            pipeline._artifacts["tables"] = tables
             return False
         new_clusters = compute_clusters(new_schema, tables)
         dirty = delta.dirty_classes()
@@ -296,7 +298,6 @@ def seed_delta(pipeline: "Pipeline", prev: "CompiledSchema",
 
     pipeline._artifacts["tables"] = tables
     pipeline._clusters = new_clusters
-    pipeline._hierarchy_effective = False
     pipeline._expansion_delta = DeltaExpansionSeed(
         classes=tuple(combined), reused=frozenset(reused),
         old=prev.expansion, touched_relations=delta.touched_relations())

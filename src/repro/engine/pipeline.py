@@ -22,10 +22,11 @@ artifacts are never invalidated; build a new pipeline for a new schema or
 config (sessions handle the caching of whole pipelines).
 
 Schema-level derived structures that several consumers share — the clusters
-of ``G_S``, the per-cluster compound-class grouping, the effective-hierarchy
-test — live here too, as do the *seeding* hooks of the incremental
-augmented-query optimization (a seeded pipeline starts with prebuilt tables
-and precomputed compound classes instead of cold stages).
+of ``G_S`` and the per-cluster compound-class grouping — live here too, as
+do the *seeding* hooks of the incremental augmented-query optimization (a
+seeded pipeline starts with prebuilt tables and precomputed compound
+classes instead of cold stages).  Whether a schema is a §4.4 hierarchy is
+not stored here: Phase 1 records its route on ``expansion.strategy``.
 """
 
 from __future__ import annotations
@@ -138,7 +139,6 @@ class Pipeline:
         self._clusters: Optional[list[frozenset]] = None
         self._cluster_map: Optional[dict] = None
         self._cluster_compound_map: Optional[dict] = None
-        self._hierarchy_effective: Optional[bool] = None
 
     def built_stages(self) -> tuple[str, ...]:
         """The stages whose artifacts exist already (in build order)."""
@@ -155,10 +155,11 @@ class Pipeline:
     # ------------------------------------------------------------------
     def compile(self) -> "CompiledSchema":
         """A frozen, picklable snapshot of this pipeline's Phase-1/Phase-2
-        products: tables, expansion, ``Ψ_S``, and the cluster/hierarchy
-        metadata (building any that are missing).  The support is *not*
-        included — a rehydrated pipeline recomputes it under its own LP
-        configuration, so one snapshot serves every backend.
+        products: tables, expansion (with its Phase-1 route), ``Ψ_S``, and
+        the cluster partition (building any that are missing).  The
+        support is *not* included — a rehydrated pipeline recomputes it
+        under its own LP configuration, so one snapshot serves every
+        backend.
         """
         from .artifact import (ARTIFACT_SCHEMA_VERSION, CompiledSchema,
                                SupportSnapshot, config_fingerprint)
@@ -174,7 +175,6 @@ class Pipeline:
         support = self._artifacts.get("support")
         snapshot = (SupportSnapshot.from_result(support)
                     if support is not None else None)
-        self.is_hierarchy()  # resolve the §4.4 flag into the snapshot
         current_tracer().add("artifact.build")
         return CompiledSchema(
             schema_version=ARTIFACT_SCHEMA_VERSION,
@@ -187,7 +187,6 @@ class Pipeline:
             system=system,
             clusters=(tuple(self.clusters())
                       if self.config.strategy != "naive" else None),
-            hierarchy_effective=self._hierarchy_effective,
             support=snapshot,
             # Like the support: ride along only when already built — a
             # satisfiability-only compile never pays for the closure.
@@ -235,7 +234,6 @@ class Pipeline:
                 artifact.system)
         if artifact.clusters is not None:
             pipeline._clusters = list(artifact.clusters)
-        pipeline._hierarchy_effective = artifact.hierarchy_effective
         pipeline._closure_index = artifact.closure
         return pipeline
 
@@ -309,7 +307,6 @@ class Pipeline:
         if seed is not None:
             return build_expansion_delta(
                 self.schema, seed.classes, seed.reused, seed.old,
-                strategy=self.config.strategy,
                 touched_relations=seed.touched_relations,
                 size_limit=self.config.size_limit)
         tables = None
@@ -342,8 +339,7 @@ class Pipeline:
         return acceptable_support(
             self.system, backend=self.config.lp_backend,
             use_propagation=self.config.use_propagation,
-            merge_columns=self.config.merge_columns,
-            hierarchy=self.is_hierarchy())
+            merge_columns=self.config.merge_columns)
 
     # ------------------------------------------------------------------
     # Query-rewriting closure
@@ -363,19 +359,6 @@ class Pipeline:
     # ------------------------------------------------------------------
     # Shared schema-level structures
     # ------------------------------------------------------------------
-    def is_hierarchy(self) -> bool:
-        """Does the §4.4 closed form apply (strategy permitting)?"""
-        if self._hierarchy_effective is None:
-            if self.config.strategy in ("auto", "hierarchy"):
-                from ..expansion.graph import hierarchy_compound_classes
-
-                self._hierarchy_effective = (
-                    hierarchy_compound_classes(self.schema, self.tables)
-                    is not None)
-            else:
-                self._hierarchy_effective = False
-        return self._hierarchy_effective
-
     def clusters(self) -> list[frozenset]:
         """The clusters of ``G_S`` (Theorem 4.6), computed once over the
         shared preselection tables and cached."""
@@ -418,10 +401,8 @@ class Pipeline:
         """Is the incremental path applicable?  Requires a fresh query class
         and a cluster-confined (strategic) base enumeration that has already
         been built — otherwise a cold build is both needed and cheapest."""
-        return (self.config.incremental_augmented
-                and "expansion" in self._artifacts
-                and self.config.strategy in ("auto", "strategic")
-                and not self.is_hierarchy()
+        return ("expansion" in self._artifacts
+                and self.expansion.strategy == "strategic"
                 and cdef.name not in self.schema.class_symbols)
 
     def seed_augmented(self, target: "Pipeline", cdef) -> None:
@@ -455,7 +436,6 @@ class Pipeline:
                         if members)
         target._artifacts["tables"] = aug_tables
         target._clusters = aug_clusters
-        target._hierarchy_effective = False
         target._precomputed_classes = tuple(combined)
 
     # ------------------------------------------------------------------
@@ -476,5 +456,6 @@ class Pipeline:
             lp_rounds=self.support.rounds,
             supported=len(self.support.support),
             lp_backend=self.support.backend_used,
+            strategy=self.expansion.strategy,
             timings=self.timer.readings(),
         )

@@ -21,7 +21,8 @@ __all__ = ["STATS_SCHEMA_VERSION", "PipelineStats", "SessionStats"]
 
 #: Version of the stats payload shapes.  Bump on any field change; the
 #: value travels in every ``to_json()`` document as ``"stats_schema"``.
-STATS_SCHEMA_VERSION = 1
+#: v2 added :attr:`PipelineStats.strategy`.
+STATS_SCHEMA_VERSION = 2
 
 _TIME_PREFIX = "time_"
 
@@ -43,7 +44,9 @@ class PipelineStats(_JsonTextMixin):
     wall-clock seconds (``tables``, ``expansion``, ``system``, ``support``,
     plus ``augmented_seed`` / ``augmented_query`` once augmented queries
     ran); ``lp_backend`` names the arithmetic core that produced the final
-    support witness.
+    support witness, and ``strategy`` the Phase-1 route that enumerated
+    the compound classes (``Expansion.strategy``: ``"naive"``,
+    ``"strategic"`` or ``"hierarchy"``).
     """
 
     classes: int
@@ -56,6 +59,7 @@ class PipelineStats(_JsonTextMixin):
     lp_rounds: int
     supported: int
     lp_backend: str = "unknown"
+    strategy: str = "unknown"
     timings: dict[str, float] = field(default_factory=dict)
     schema_version: int = STATS_SCHEMA_VERSION
 

@@ -25,6 +25,7 @@ __all__ = [
     "naive_compound_classes",
     "dpll_compound_classes",
     "strategic_compound_classes",
+    "routed_compound_classes",
     "compound_classes",
 ]
 
@@ -185,37 +186,48 @@ def strategic_compound_classes(schema: Schema,
     return results
 
 
-def compound_classes(schema: Schema, strategy: str = "auto",
-                     tables: Optional[SchemaTables] = None
-                     ) -> list[frozenset[str]]:
-    """Enumerate consistent compound classes with the requested strategy.
+def routed_compound_classes(schema: Schema, strategy: str = "auto",
+                            tables: Optional[SchemaTables] = None
+                            ) -> tuple[str, list[frozenset[str]]]:
+    """Enumerate consistent compound classes with the requested strategy,
+    and name the route that ran.
 
     * ``"naive"`` — filter all subsets (Section 4.2's trivial method);
     * ``"strategic"`` — tables + clusters + DPLL (Section 4.3);
-    * ``"hierarchy"`` — the closed form for generalization hierarchies
-      (Section 4.4); falls back to ``"strategic"`` when the schema is not a
-      hierarchy;
-    * ``"auto"`` — ``"hierarchy"`` when applicable, else ``"strategic"``.
+    * ``"auto"`` — the closed form for generalization hierarchies
+      (Section 4.4, route ``"hierarchy"``) when the schema is one, else
+      ``"strategic"``.
 
-    ``tables`` optionally supplies prebuilt preselection tables, shared by
-    the caller across pipeline stages so the preselection pass runs once per
-    schema (the naive strategy ignores them).
+    Returns ``(route, classes)`` with ``route`` one of ``"naive"``,
+    ``"strategic"`` or ``"hierarchy"``: the one place Phase 1 decides
+    whether a schema is a hierarchy.  ``tables`` optionally supplies
+    prebuilt preselection tables, shared by the caller across pipeline
+    stages so the preselection pass runs once per schema (the naive
+    strategy ignores them).
     """
-    if strategy not in ("auto", "naive", "strategic", "hierarchy"):
+    if strategy not in ("auto", "naive", "strategic"):
         raise ValueError(f"unknown enumeration strategy {strategy!r}")
     tracer = current_tracer()
     if strategy == "naive":
-        results = naive_compound_classes(schema)
-        tracer.add("expansion.compound_classes", len(results))
-        return results
-    if tables is None:
-        tables = build_tables(schema)
-    if strategy in ("auto", "hierarchy"):
-        from_hierarchy = hierarchy_compound_classes(schema, tables)
-        if from_hierarchy is not None:
+        route, results = "naive", naive_compound_classes(schema)
+    else:
+        if tables is None:
+            tables = build_tables(schema)
+        results = (hierarchy_compound_classes(schema, tables)
+                   if strategy == "auto" else None)
+        if results is not None:
+            route = "hierarchy"
             tracer.add("expansion.hierarchy_closed_form")
-            tracer.add("expansion.compound_classes", len(from_hierarchy))
-            return from_hierarchy
-    results = strategic_compound_classes(schema, tables)
+        else:
+            route = "strategic"
+            results = strategic_compound_classes(schema, tables)
     tracer.add("expansion.compound_classes", len(results))
-    return results
+    return route, results
+
+
+def compound_classes(schema: Schema, strategy: str = "auto",
+                     tables: Optional[SchemaTables] = None
+                     ) -> list[frozenset[str]]:
+    """The compound classes of :func:`routed_compound_classes`, without
+    the route."""
+    return routed_compound_classes(schema, strategy, tables)[1]

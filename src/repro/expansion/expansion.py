@@ -50,7 +50,7 @@ from .compound import (
     merged_attr_card,
     merged_participation_card,
 )
-from .enumerate import compound_classes as enumerate_compound_classes
+from .enumerate import routed_compound_classes
 
 __all__ = ["Expansion", "build_expansion", "build_expansion_delta",
            "is_binding"]
@@ -67,9 +67,14 @@ def is_binding(card: Card) -> bool:
 class Expansion:
     """The expansion ``S̄``: compound objects plus ``Natt`` / ``Nrel``.
 
-    ``indexed`` controls the endpoint-lookup implementation: prebuilt
-    dictionaries (default) versus the legacy linear scans, kept for the
-    ablation benchmarks and the index-equivalence tests.
+    ``strategy`` is the Phase-1 route that produced the compound classes:
+    ``"naive"``, ``"strategic"`` or ``"hierarchy"`` (the §4.4 closed
+    form), never the requested ``"auto"``; classes reused from a previous
+    enumeration (augmented seeding, delta rebuilds) record
+    ``"strategic"``.  ``indexed`` controls the endpoint-lookup
+    implementation: prebuilt dictionaries (default) versus the legacy
+    linear scans, kept for the ablation benchmarks and the
+    index-equivalence tests.
     """
 
     schema: Schema
@@ -223,7 +228,8 @@ def build_expansion(schema: Schema, strategy: str = "auto", *,
     precomputed_classes:
         Optional compound classes to use verbatim (skipping enumeration) —
         the incremental augmented-query path of the reasoner supplies the
-        merged-cluster result here.
+        merged-cluster result here.  The expansion then records the route
+        ``"strategic"``.
 
     The ambient tracer receives the enumeration counters
     (``expansion.compound_classes``, the DPLL search counters) and the
@@ -241,11 +247,12 @@ def build_expansion(schema: Schema, strategy: str = "auto", *,
     tick = current_budget().tick
     budget = _SizeBudget(size_limit)
     if precomputed_classes is not None:
-        classes = tuple(precomputed_classes)
+        route, classes = "strategic", tuple(precomputed_classes)
         current_tracer().add("expansion.precomputed_classes", len(classes))
     else:
-        classes = tuple(enumerate_compound_classes(schema, strategy,
-                                                   tables=tables))
+        route, enumerated = routed_compound_classes(schema, strategy,
+                                                    tables=tables)
+        classes = tuple(enumerated)
     budget.charge(len(classes), "compound classes")
 
     natt: dict[tuple[frozenset, AttrRef], Card] = {}
@@ -280,13 +287,12 @@ def build_expansion(schema: Schema, strategy: str = "auto", *,
         compound_relations=compound_relations,
         natt=natt,
         nrel=nrel,
-        strategy=strategy,
+        strategy=route,
     )
 
 
 def build_expansion_delta(schema: Schema, classes: Sequence[frozenset],
                           reused: frozenset, old: Expansion, *,
-                          strategy: str = "strategic",
                           touched_relations: frozenset = frozenset(),
                           size_limit: Optional[int] = None) -> Expansion:
     """Build the expansion of ``schema`` reusing rows of a previous one.
@@ -303,7 +309,8 @@ def build_expansion_delta(schema: Schema, classes: Sequence[frozenset],
     generated exactly once.  Relations in ``touched_relations`` (their
     definition changed) re-enumerate from scratch — compound-relation
     consistency reads the relation definition, so their old rows are not
-    trustworthy even between reused endpoints.
+    trustworthy even between reused endpoints.  The result records the
+    route ``"strategic"``: the classes come per cluster.
 
     The ``size_limit`` accounting matches :func:`build_expansion`: reused
     objects are charged too, so the guard trips on the same totals a cold
@@ -366,7 +373,6 @@ def build_expansion_delta(schema: Schema, classes: Sequence[frozenset],
         compound_relations=compound_relations,
         natt=natt,
         nrel=nrel,
-        strategy=strategy,
     )
 
 

@@ -20,8 +20,9 @@ Registered backends:
   ``x = 0`` — the distinction Theorem 3.3 hinges on — is decided without
   numerical doubt.  It exploits that ``Ψ_S`` couples each compound
   attribute/relation only to its endpoint classes and that the max-support
-  LP is slack-basis feasible, and additionally answers detected §4.4
-  hierarchies in closed form, with zero pivots.
+  LP is slack-basis feasible.  Every round first tries the §4.4 closed
+  form (construct a witness, verify it exactly); a round it certifies
+  takes zero pivots.
 * ``"float-fallback"`` — tries ``scipy``'s HiGHS solver in floating point
   first, snaps the result to small rationals, and re-verifies every
   disequation exactly.  On degeneracy (values too close to zero to
@@ -29,9 +30,9 @@ Registered backends:
   falls back to the sparse exact core, so its verdicts are always
   identical to ``"exact-sparse"`` — a property the differential test suite
   pins.
-* ``"auto"`` — the sparse exact core up to :data:`SPARSE_BACKEND_LIMIT` LP
-  columns, ``"float-fallback"`` beyond; hierarchy systems take the closed
-  form regardless of size.  The limit sits at the measured sparse/float
+* ``"auto"`` — the §4.4 closed form first, like ``"exact-sparse"``; then
+  the sparse exact core up to :data:`SPARSE_BACKEND_LIMIT` LP columns,
+  ``"float-fallback"`` beyond.  The limit sits at the measured sparse/float
   crossover (see :data:`SPARSE_BACKEND_LIMIT`): the float-first core,
   exact verification included, wins 5-45x on larger systems, so the cutoff
   is load-bearing, not vestigial.
@@ -41,9 +42,9 @@ Registered backends:
 sparsity, closed-form support, degeneracy handling) and ``describe()`` (a
 :class:`BackendDescription` adding name, aliases, and a one-line summary).
 Third-party backends may omit them — :func:`backend_capabilities` and
-:func:`describe_backend` resolve conservative defaults — but only backends
-declaring ``closed_form=True`` are handed the ``hierarchy=True`` hint by
-the support loop.
+:func:`describe_backend` resolve conservative defaults.  The closed form
+is each backend's own first step, not a hint from the support loop, so a
+foreign backend is called on every round that has candidates.
 
 **Backend selection.**  :func:`get_backend` accepts a registered name
 (``"exact-sparse"``) or any object implementing the protocol; both forms
@@ -161,9 +162,8 @@ class BackendCapabilities:
     ``"float-first"`` (float solve, exactly re-verified), or ``"hybrid"``
     (routes between cores); ``sparse`` — whether the core exploits the
     sparsity of ``Ψ_S`` rather than densifying it; ``closed_form`` —
-    whether the backend answers detected §4.4 hierarchy systems without
-    invoking a solver (only such backends receive the ``hierarchy=True``
-    hint); ``degeneracy`` names the anti-degeneracy mechanism
+    whether the backend tries the §4.4 certificate before its solver on
+    every round; ``degeneracy`` names the anti-degeneracy mechanism
     (``"bland-anticycling"``, ``"ambiguity-band-exact-fallback"``, …).
     """
 
@@ -198,8 +198,7 @@ class BackendDescription:
 
 
 #: Conservative capabilities assumed for backends that do not implement
-#: ``capabilities()`` (third-party protocol objects): no claims made, so
-#: the support loop never hands them the closed-form hint.
+#: ``capabilities()`` (third-party protocol objects): no claims made.
 DEFAULT_CAPABILITIES = BackendCapabilities(
     arithmetic="unspecified", sparse=False, closed_form=False,
     degeneracy="unspecified")
@@ -235,10 +234,7 @@ class LpBackend(Protocol):
     Backends additionally carrying the capability contract implement
     ``capabilities() -> BackendCapabilities`` and ``describe() ->
     BackendDescription`` (resolved with conservative defaults by
-    :func:`backend_capabilities` / :func:`describe_backend` when absent),
-    and a backend declaring ``closed_form=True`` must accept the
-    keyword-only ``hierarchy: bool = False`` hint on ``solve`` — the
-    support loop passes it only to such backends.
+    :func:`backend_capabilities` / :func:`describe_backend` when absent).
     """
 
     name: str
@@ -348,10 +344,10 @@ class SparseExactBackend:
     """The sparse fraction-free simplex plus the §4.4 closed form.
 
     Exact verdicts from the column-indexed integer-preserving solver of
-    :mod:`repro.linear.sparse`.  When the caller flags the system as a
-    detected generalization hierarchy, the backend first tries the
-    construct-and-verify closed form and answers without any simplex at
-    all (``lp.hierarchy_closed_form``, zero ``lp.pivots``).
+    :mod:`repro.linear.sparse`.  Every round with candidates first tries
+    the construct-and-verify closed form; a verified witness answers the
+    round without any simplex at all (``lp.hierarchy_closed_form``, zero
+    ``lp.pivots``).
     """
 
     name = "exact-sparse"
@@ -369,12 +365,10 @@ class SparseExactBackend:
             capabilities=self.capabilities())
 
     def solve(self, system: PsiSystem, positive_indices: Sequence[int], *,
-              merge_columns: bool = True,
-              hierarchy: bool = False) -> RoundSolution:
-        if hierarchy:
-            closed = _closed_form_round(system, positive_indices)
-            if closed is not None:
-                return closed
+              merge_columns: bool = True) -> RoundSolution:
+        closed = _closed_form_round(system, positive_indices)
+        if closed is not None:
+            return closed
         groups, rows = grouped_columns(system, positive_indices, merge_columns)
         if not groups:
             return RoundSolution({}, frozenset(), "propagation")
@@ -389,7 +383,11 @@ class SparseExactBackend:
 def _closed_form_round(system: PsiSystem,
                        positive_indices: Sequence[int]
                        ) -> Optional[RoundSolution]:
-    """One round answered by the §4.4 closed form, or None (use the LP)."""
+    """One round answered by the §4.4 closed form, or None (use the LP).
+    A round without candidates is left to the LP path, which answers it
+    by propagation."""
+    if not positive_indices:
+        return None
     witness = hierarchy_witness(system, positive_indices)
     if witness is None:
         return None
@@ -561,7 +559,8 @@ class FloatFallbackBackend:
 class AutoBackend:
     """Pick the core by system size: the sparse exact simplex below the
     column threshold, float-fallback (still exactly verified) beyond it;
-    detected hierarchies take the closed form regardless of size.
+    a round the §4.4 closed form certifies takes neither, whatever its
+    size.
 
     The default threshold is the measured crossover on the scaled
     Theorem 4.3 workload (:data:`SPARSE_BACKEND_LIMIT` documents the
@@ -588,12 +587,10 @@ class AutoBackend:
             capabilities=self.capabilities())
 
     def solve(self, system: PsiSystem, positive_indices: Sequence[int], *,
-              merge_columns: bool = True,
-              hierarchy: bool = False) -> RoundSolution:
-        if hierarchy:
-            closed = _closed_form_round(system, positive_indices)
-            if closed is not None:
-                return closed
+              merge_columns: bool = True) -> RoundSolution:
+        closed = _closed_form_round(system, positive_indices)
+        if closed is not None:
+            return closed
         groups, rows = grouped_columns(system, positive_indices, merge_columns)
         if not groups:
             return RoundSolution({}, frozenset(), "propagation")

@@ -34,15 +34,15 @@ simplex.  The ratio bounds of :mod:`repro.linear.ratios` and the witness
 minimization of :mod:`repro.linear.support` (lower bounds ``x ≥ 1``) are
 the callers that need the feasibility phase.
 
-The second short-circuit is Section 4.4: for detected generalization
-hierarchies the support question has a closed-form answer.  After the
-propagation rules reach their fixpoint, every surviving unknown is
-supportable, and :func:`hierarchy_witness` *constructs* the certifying
-solution directly (classes at 1, each cardinality entry's live summands
-sharing the entry's feasible mass) and re-verifies it against every
-disequation exactly — soundness rests on the verification, not on the
-hierarchy detection, so a schema that fools the shape test still gets the
-correct LP answer via the normal solver.
+The second short-circuit is Section 4.4: for generalization hierarchies
+the support question has a closed-form answer.  After the propagation
+rules reach their fixpoint, every surviving unknown is supportable, and
+:func:`hierarchy_witness` *constructs* the certifying solution directly
+(classes at 1, each cardinality entry's live summands sharing the entry's
+feasible mass) and re-verifies it against every disequation exactly.  The
+exact backends try it on every round, whatever the schema's shape:
+soundness rests on the verification, not on any hierarchy detection, so
+a system the construction does not fit simply goes to the simplex.
 """
 
 from __future__ import annotations
@@ -446,14 +446,16 @@ def hierarchy_witness(system: PsiSystem,
                       active: Sequence[int]) -> Optional[dict[int, Fraction]]:
     """Construct-and-verify the §4.4 closed-form answer.
 
-    For a detected generalization hierarchy whose propagation fixpoint left
+    For a generalization hierarchy whose propagation fixpoint left
     ``active`` alive, *every* active unknown is supportable, and a witness
     is directly constructible: each compound class counts 1 object, and the
     live summands of each ``Natt``/``Nrel`` entry share the entry's
     feasible mass (the upper bound when finite, else ``max(lower, 1)``)
     equally.  The construction applies when each active compound unknown is
     governed by at most one bound entry — true of hierarchy-shaped systems,
-    where attributes have no inverse declarations and no relations exist.
+    where attributes have no inverse declarations and no relations exist,
+    and of many others (an isa-only system has no rows at all).  The exact
+    backends call it on every round with candidates, before the simplex.
 
     Returns the witness only after **exact verification** against every
     disequation (inactive unknowns at zero) and the acceptability condition,

@@ -28,17 +28,13 @@ The computation:
 
 The LP arithmetic lives behind the backend registry of
 :mod:`repro.linear.backends`: ``"exact-sparse"`` (the sparse
-fraction-free simplex with the §4.4 hierarchy closed form),
+fraction-free simplex, tried after the §4.4 closed form),
 ``"float-fallback"`` (HiGHS float-first with exact re-verification and an
-exact safety net), and ``"auto"`` (size-based choice).  Because the maximal
-support is unique, every sound backend yields the same verdicts — the
-differential suite in ``tests/test_backends.py`` pins all of them, and a
-dense reference simplex kept under ``tests/``, to identical support sets.
-
-When the caller knows the schema is a detected generalization hierarchy it
-passes ``hierarchy=True``; the hint is forwarded only to backends whose
-declared capabilities include closed-form support, which then answer via
-the Section 4.4 construct-and-verify path with zero simplex pivots.
+exact safety net), and ``"auto"`` (the closed form, then a size-based
+choice).  Because the maximal support is unique, every sound backend
+yields the same verdicts — the differential suite in
+``tests/test_backends.py`` pins all of them, and a dense reference simplex
+kept under ``tests/``, to identical support sets.
 """
 
 from __future__ import annotations
@@ -55,7 +51,6 @@ from ..expansion.expansion import Expansion
 from ..obs.tracer import current_tracer
 from .backends import (
     LpBackend,
-    backend_capabilities,
     get_backend,
     grouped_columns,
     rationalize,
@@ -288,8 +283,8 @@ def acceptable_support(source: Expansion | PsiSystem,
                        backend: str | LpBackend = "auto", *,
                        use_propagation: bool = True,
                        merge_columns: bool = True,
-                       restrict_to: Optional[Sequence[int]] = None,
-                       hierarchy: bool = False) -> SupportResult:
+                       restrict_to: Optional[Sequence[int]] = None
+                       ) -> SupportResult:
     """Compute the maximal acceptable support of ``Ψ_S``.
 
     Accepts either an :class:`Expansion` (the system is built on the fly) or
@@ -297,14 +292,6 @@ def acceptable_support(source: Expansion | PsiSystem,
     core by registry name — ``"auto"`` (default), ``"exact-sparse"``,
     ``"float-fallback"`` — or may be any object implementing the
     :class:`~repro.linear.backends.LpBackend` protocol.
-
-    ``hierarchy`` asserts the source schema was detected as a
-    generalization hierarchy (Section 4.4).  Backends whose capabilities
-    declare closed-form support then construct the witness directly and
-    verify it exactly instead of running the simplex; the hint is never
-    forwarded to backends without that capability, and a failed
-    construction silently falls back to the LP, so it can only skip work,
-    never change a verdict.
 
     ``use_propagation`` and ``merge_columns`` disable the two engineering
     optimizations (combinatorial pre-pinning and interchangeable-column
@@ -331,7 +318,6 @@ def acceptable_support(source: Expansion | PsiSystem,
     """
     lp = get_backend(backend)
     tracer = current_tracer()
-    forward_hierarchy = hierarchy and backend_capabilities(lp).closed_form
     system = source if isinstance(source, PsiSystem) else build_system(source)
     entries = bound_entries(system)
     if restrict_to is None:
@@ -347,12 +333,8 @@ def acceptable_support(source: Expansion | PsiSystem,
         if use_propagation:
             while _propagate(system, active, entries, log, rounds):
                 pass
-        if forward_hierarchy:
-            solution = lp.solve(system, sorted(active),
-                                merge_columns=merge_columns, hierarchy=True)
-        else:
-            solution = lp.solve(system, sorted(active),
-                                merge_columns=merge_columns)
+        solution = lp.solve(system, sorted(active),
+                            merge_columns=merge_columns)
         for name, amount in solution.metrics.items():
             tracer.add(name, amount)
         values, support, backend_used = (solution.values,

@@ -195,13 +195,12 @@ class Reasoner:
         """Is the compound-class enumeration complete for queries touching
         exactly ``class_names``?
 
-        True for the naive strategy (all subsets), for genuine hierarchies
-        (incomparable classes are provably disjoint), and whenever the
-        touched classes sit inside a single cluster of ``G_S``.
+        True when Phase 1 ran the naive route (all subsets) or the §4.4
+        hierarchy route (incomparable classes are provably disjoint), and
+        whenever the touched classes sit inside a single cluster of
+        ``G_S``.
         """
-        if self._config.strategy == "naive":
-            return True
-        if self._pipeline.is_hierarchy():
+        if self._pipeline.expansion.strategy in ("naive", "hierarchy"):
             return True
         clusters = self._pipeline.cluster_of()
         touched = {clusters[name] for name in class_names if name in clusters}

@@ -37,15 +37,30 @@ from repro.linear.backends import (
 )
 from repro.linear.support import acceptable_support
 from repro.linear.system import build_system
+from repro.obs.tracer import Tracer, use_tracer
 from repro.reasoner.satisfiability import Reasoner
 from repro.workloads.generators import (
+    adversarial_schema,
     clustered_schema,
     hierarchy_schema,
     random_schema,
 )
+from repro.workloads.query_workloads import taxonomy_schema
 
 from .dense_reference import DenseReference
+from .lp_parity import SMALL_SCHEMAS
 from .strategies import rich_schemas
+
+#: Schemas whose every round reaches the simplex: an attribute and its
+#: inverse put each compound attribute into two bound entries, which the
+#: §4.4 construction refuses.  (cycle(4,2), the fourth, is left out: once
+#: the LP empties every class, its last round is certified.)
+LP_SCHEMAS = tuple(SMALL_SCHEMAS.values())[:3]
+
+
+def lp_system(index: int = 0):
+    """``Ψ_S`` of one of :data:`LP_SCHEMAS`."""
+    return build_system(build_expansion(LP_SCHEMAS[index]()))
 
 
 class TestRegistry:
@@ -206,7 +221,7 @@ class TestMetricSchema:
 
 class TestRoundSolutions:
     def test_exact_solution_is_rational_and_acceptable(self):
-        system = build_system(build_expansion(random_schema(5, seed=1)))
+        system = lp_system()
         solution = SparseExactBackend().solve(
             system, list(range(system.n_unknowns())))
         assert isinstance(solution, RoundSolution)
@@ -238,7 +253,7 @@ class TestAutoRouting:
 
     def test_routes_small_systems_to_the_sparse_core(self, monkeypatch):
         monkeypatch.setattr(backends, "SPARSE_BACKEND_LIMIT", 10 ** 6)
-        system = build_system(build_expansion(random_schema(5, seed=1)))
+        system = lp_system()
         solution = AutoBackend().solve(
             system, list(range(system.n_unknowns())))
         assert solution.backend_used == "exact-sparse"
@@ -246,7 +261,7 @@ class TestAutoRouting:
 
     def test_routes_large_systems_to_the_float_core(self, monkeypatch):
         monkeypatch.setattr(backends, "SPARSE_BACKEND_LIMIT", 1)
-        system = build_system(build_expansion(random_schema(5, seed=1)))
+        system = lp_system()
         solution = AutoBackend().solve(
             system, list(range(system.n_unknowns())))
         # "float" when HiGHS answered, "exact-sparse" via the float path's
@@ -256,8 +271,7 @@ class TestAutoRouting:
                 or "lp.float_exact_fallbacks" in solution.metrics)
 
     def test_routing_preserves_verdicts(self, monkeypatch):
-        schema = random_schema(6, seed=3)
-        expansion = build_expansion(schema)
+        expansion = build_expansion(LP_SCHEMAS[1]())
         supports = set()
         for limit in (1, 10 ** 6):
             monkeypatch.setattr(backends, "SPARSE_BACKEND_LIMIT", limit)
@@ -278,7 +292,7 @@ class TestFloatFallbackWithoutHighs:
 
     @pytest.mark.parametrize("name", ("float-fallback", "auto"))
     def test_round_answers_on_the_sparse_core(self, name):
-        system = build_system(build_expansion(random_schema(6, seed=3)))
+        system = lp_system(1)
         active = list(range(system.n_unknowns()))
         solution = get_backend(name).solve(system, active)
         assert solution.backend_used == "exact-sparse"
@@ -289,9 +303,9 @@ class TestFloatFallbackWithoutHighs:
         assert solution.supported == sparse.supported
 
     @pytest.mark.parametrize("name", ("float-fallback", "auto"))
-    @pytest.mark.parametrize("seed", range(3))
-    def test_support_matches_the_sparse_backend(self, name, seed):
-        system = build_system(build_expansion(random_schema(6, seed=seed)))
+    @pytest.mark.parametrize("case", range(3))
+    def test_support_matches_the_sparse_backend(self, name, case):
+        system = lp_system(case)
         result = acceptable_support(system, backend=name)
         assert result.support == acceptable_support(
             system, backend="exact-sparse").support
@@ -371,8 +385,7 @@ class TestStrategyBackendSweep:
             verdicts.append(tuple(reasoner.satisfiable_classes()))
         assert verdicts[0] == verdicts[1]
 
-    @pytest.mark.parametrize("strategy", ("naive", "strategic", "hierarchy",
-                                          "auto"))
+    @pytest.mark.parametrize("strategy", ("naive", "strategic", "auto"))
     def test_hierarchy_verdicts_invariant(self, strategy):
         schema = hierarchy_schema(2, 3, with_attributes=True, seed=3)
         verdicts = {}
@@ -382,34 +395,76 @@ class TestStrategyBackendSweep:
             verdicts[backend] = tuple(reasoner.satisfiable_classes())
         assert len(set(verdicts.values())) == 1, verdicts
 
+    @pytest.mark.parametrize("schema", (
+        pytest.param(lambda: adversarial_schema(6, seed=1), id="adversarial"),
+        pytest.param(lambda: adversarial_schema(7, seed=2), id="adversarial7"),
+        pytest.param(lambda: clustered_schema(4, 3, seed=0), id="clustered0"),
+        pytest.param(lambda: clustered_schema(4, 3, seed=3), id="clustered3"),
+        pytest.param(lambda: taxonomy_schema(3, 1), id="taxonomy"),
+    ))
+    def test_certified_families_match_the_pure_lp(self, schema):
+        """Families that are no §4.4 hierarchy, yet whose systems the
+        certificate answers: the exact backends take zero pivots, and the
+        dense reference — pure LP — finds the same satisfiable classes."""
+        schema = schema()
+        verdicts = {}
+        for backend in (DenseReference(), "exact-sparse", "auto"):
+            tracer = Tracer()
+            with use_tracer(tracer):
+                reasoner = Reasoner(schema, config=EngineConfig(
+                    lp_backend=backend))
+                verdicts[backend] = tuple(reasoner.satisfiable_classes())
+            if isinstance(backend, str):
+                assert reasoner.expansion.strategy == "strategic"
+                assert tracer.counter("lp.hierarchy_closed_form") >= 1
+                assert tracer.counter("lp.pivots") == 0
+        assert len(set(verdicts.values())) == 1, verdicts
+
 
 class TestClosedForm:
-    """The §4.4 short-circuit: hierarchy-flagged systems answer without a
-    single simplex pivot, and never change a verdict."""
+    """The §4.4 short-circuit: the exact backends try the certificate on
+    every round, answer a certified round without a single simplex pivot,
+    and never change a verdict."""
 
     def test_hierarchy_flag_takes_closed_form(self):
+        """No flag needed: the default path certifies a hierarchy."""
         system = build_system(build_expansion(
             hierarchy_schema(3, 3, with_attributes=True, seed=1)))
-        plain = acceptable_support(system, backend="exact-sparse")
-        flagged = acceptable_support(system, backend="exact-sparse",
-                                     hierarchy=True)
-        assert flagged.support == plain.support
-        assert flagged.backend_used == "closed-form"
+        tracer = Tracer()
+        with use_tracer(tracer):
+            certified = acceptable_support(system, backend="exact-sparse")
+        plain = acceptable_support(system, backend=DenseReference())
+        assert certified.support == plain.support
+        assert certified.backend_used == "closed-form"
+        assert tracer.counter("lp.pivots") == 0
 
     def test_closed_form_pivots_are_zero(self):
         system = build_system(build_expansion(
             hierarchy_schema(2, 3, with_attributes=True, seed=5)))
-        solution = SparseExactBackend().solve(
-            system, list(range(system.n_unknowns())), hierarchy=True)
-        assert solution.backend_used == "closed-form"
-        assert solution.metrics == {"lp.hierarchy_closed_form": 1}
-        assert "lp.pivots" not in solution.metrics
+        for backend in (SparseExactBackend(), AutoBackend()):
+            solution = backend.solve(
+                system, list(range(system.n_unknowns())))
+            assert solution.backend_used == "closed-form"
+            assert solution.metrics == {"lp.hierarchy_closed_form": 1}
+            assert "lp.pivots" not in solution.metrics
+
+    def test_naive_strategy_takes_the_certificate(self):
+        """The certificate does not depend on how Phase 1 enumerated: a
+        hierarchy expanded by the naive strategy needs no pivot either."""
+        schema = hierarchy_schema(2, 3, with_attributes=True, seed=1)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            reasoner = Reasoner(schema, config=EngineConfig(strategy="naive"))
+            verdicts = reasoner.satisfiable_classes()
+        assert reasoner.expansion.strategy == "naive"
+        assert len(verdicts) == len(schema.class_symbols)
+        assert tracer.counter("lp.hierarchy_closed_form") >= 1
+        assert tracer.counter("lp.pivots") == 0
 
     def test_closed_form_witness_verifies_exactly(self):
         system = build_system(build_expansion(
             hierarchy_schema(3, 2, with_attributes=True, seed=7)))
-        result = acceptable_support(system, backend="exact-sparse",
-                                    hierarchy=True)
+        result = acceptable_support(system, backend="exact-sparse")
         assert result.backend_used == "closed-form"
         for constraint in system.constraints:
             total = sum((coeff * result.solution[var]
@@ -420,36 +475,45 @@ class TestClosedForm:
             assert result.solution[index] > 0
 
     def test_flag_on_non_hierarchy_is_harmless(self):
-        """A schema that is not hierarchy-shaped fails the construct-and-
+        """A system the construction does not fit fails the construct-and-
         verify attempt and silently takes the ordinary LP."""
-        system = build_system(build_expansion(random_schema(6, seed=2)))
-        flagged = acceptable_support(system, backend="exact-sparse",
-                                     hierarchy=True)
+        system = lp_system(2)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            tried = acceptable_support(system, backend="exact-sparse")
         plain = acceptable_support(system, backend=DenseReference())
-        assert flagged.support == plain.support
+        assert tried.support == plain.support
+        assert tried.backend_used == "exact-sparse"
+        assert tracer.counter("lp.hierarchy_closed_form") == 0
+        assert tracer.counter("lp.pivots") > 0
 
-    def test_flag_never_reaches_closed_form_free_backends(self):
-        """Foreign backends without the capability keep the old solve
-        signature and must not receive the hierarchy keyword."""
+    def test_foreign_backends_run_their_own_lp(self):
+        """A backend without the capability contract is called on every
+        round of a hierarchy system too, and agrees with the certificate
+        on the support."""
 
         class Strict:
             name = "test-strict"
 
             def __init__(self):
                 self._inner = DenseReference()
+                self.calls = 0
 
             def solve(self, system, positive_indices, *, merge_columns=True):
+                self.calls += 1
                 return self._inner.solve(system, positive_indices,
                                          merge_columns=merge_columns)
 
-        register_backend(Strict())
+        strict = register_backend(Strict())
         try:
             system = build_system(build_expansion(
                 hierarchy_schema(2, 2, with_attributes=True, seed=0)))
-            result = acceptable_support(system, backend="test-strict",
-                                        hierarchy=True)
-            reference = acceptable_support(system, backend=DenseReference())
-            assert result.support == reference.support
+            result = acceptable_support(system, backend="test-strict")
+            certified = acceptable_support(system, backend="exact-sparse")
+            assert strict.calls == result.rounds >= 1
+            assert result.backend_used == "dense-reference"
+            assert certified.backend_used == "closed-form"
+            assert result.support == certified.support
         finally:
             backends._REGISTRY.pop("test-strict", None)
 
@@ -497,9 +561,8 @@ class TestClosedForm:
 
         violated = WithExtraRow(expansion)
         assert hierarchy_witness(violated, everything) is None
-        flagged = acceptable_support(violated, backend="exact-sparse",
-                                     hierarchy=True)
-        plain = acceptable_support(violated, backend="exact-sparse")
-        assert flagged.backend_used == "exact-sparse"
-        assert flagged.support == plain.support
+        tried = acceptable_support(violated, backend="exact-sparse")
+        plain = acceptable_support(violated, backend=DenseReference())
+        assert tried.backend_used == "exact-sparse"
+        assert tried.support == plain.support
         assert len(plain.support) == system.n_unknowns()

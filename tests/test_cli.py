@@ -118,6 +118,9 @@ class TestRenderAndStats:
 
     def test_strategy_flag(self, good_file):
         assert main(["validate", good_file, "--strategy", "naive"]) == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["validate", good_file, "--strategy", "hierarchy"])
+        assert excinfo.value.code == 2
 
 
 class TestJsonOutput:

@@ -22,9 +22,11 @@ from repro.core.schema import (Attr, ClassDef, Part, RelationDef,
                                RoleClause, RoleLiteral, Schema)
 from repro.engine import (EngineConfig, Pipeline, SchemaDelta,
                           SchemaSession, schema_fingerprint)
+from repro.obs.tracer import Tracer, use_tracer
 from repro.reasoner.satisfiability import Reasoner
 from repro.workloads.generators import (cardinality_chain_schema,
-                                        clustered_schema, random_schema)
+                                        clustered_schema, hierarchy_schema,
+                                        random_schema)
 
 from .dense_reference import DenseReference
 
@@ -402,6 +404,52 @@ class TestSessionUpdate:
         _ = session.reasoner(schema).pipeline.support
         _, report = session.update(schema, schema)
         assert report.mode == "unchanged"
+
+    def test_update_certifies_the_dirty_blocks(self):
+        """The dirty blocks of a delta revalidation take the §4.4
+        certificate too: one new clause in one cluster of an isa-only
+        schema re-solves without a pivot."""
+        old = clustered_schema(8, 4, seed=7)
+        target = sorted(d.name for d in old.class_definitions
+                        if d.name.startswith("K0_"))[-1]
+        new = Schema([
+            d if d.name != target else ClassDef(
+                target, Formula(d.isa.clauses + (Clause((Lit("K0_1"),)),)),
+                d.attributes, d.participates)
+            for d in old.class_definitions])
+        session = SchemaSession()
+        _ = session.reasoner(old).pipeline.support
+        tracer = Tracer()
+        with use_tracer(tracer):
+            reasoner, report = session.update(old, new)
+        assert report.mode == "delta"
+        assert tracer.counter("lp.hierarchy_closed_form") == 1
+        assert tracer.counter("lp.pivots") == 0
+        fresh = Pipeline(new, EngineConfig(lp_backend=DenseReference()))
+        assert support_set(reasoner.pipeline) == support_set(fresh)
+
+    def test_hierarchy_fallback_builds_tables_once(self, monkeypatch):
+        """A new version the §4.4 closed form covers revalidates fresh,
+        on the preselection tables the delta planner built to find that
+        out."""
+        from repro.expansion import tables
+
+        old = hierarchy_schema(2, 3, with_attributes=True, seed=1)
+        new = hierarchy_schema(2, 3, with_attributes=True, seed=2)
+        session = SchemaSession()
+        _ = session.reasoner(old).pipeline.support
+        built = []
+        original = tables.SchemaTables.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(tables.SchemaTables, "__init__", counting)
+        reasoner, report = session.update(old, new)
+        assert report.mode == "fresh"
+        assert len(built) == 1
+        assert reasoner.expansion.strategy == "hierarchy"
 
     def test_invalidate_drops_peek_snapshot(self):
         session = SchemaSession()

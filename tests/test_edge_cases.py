@@ -98,7 +98,12 @@ class TestSupportIntrospection:
         from repro.expansion.expansion import build_expansion
         from repro.linear.support import acceptable_support
 
-        schema = parse_schema("class A isa B endclass")
+        # An attribute and its inverse: the §4.4 certificate refuses the
+        # coupled entries, so the simplex answers.
+        schema = parse_schema("""
+            class A attributes a : (2, 2) B endclass
+            class B attributes (inv a) : (1, 1) A endclass
+        """)
         result = acceptable_support(build_expansion(schema),
                                     backend="exact-sparse")
         assert result.backend_used in ("exact-sparse", "propagation")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import LinearSystemError, ReasoningError
-from repro.core.schema import ClassDef
+from repro.core.schema import ClassDef, Schema
 from repro.core.formulas import Lit
 from repro.engine import (
     EngineConfig,
@@ -13,7 +13,8 @@ from repro.engine import (
 )
 from repro.parser.parser import parse_schema
 from repro.reasoner.satisfiability import Reasoner
-from repro.workloads.generators import clustered_schema, random_schema
+from repro.workloads.generators import (clustered_schema, hierarchy_schema,
+                                        random_schema)
 
 from .dense_reference import DenseReference
 
@@ -40,7 +41,6 @@ class TestEngineConfig:
         assert config.strategy == "auto"
         assert config.size_limit is None
         assert config.lp_backend == "auto"
-        assert config.incremental_augmented
 
     def test_frozen_and_hashable(self):
         config = EngineConfig()
@@ -57,8 +57,11 @@ class TestEngineConfig:
         assert EngineConfig().strategy == "auto"  # original untouched
 
     def test_bad_strategy_rejected(self):
-        with pytest.raises(ReasoningError, match="strategy"):
-            EngineConfig(strategy="bogus")
+        # "auto" takes the §4.4 route by itself: no "hierarchy" strategy.
+        assert EngineConfig.STRATEGIES == ("auto", "naive", "strategic")
+        for strategy in ("bogus", "hierarchy"):
+            with pytest.raises(ReasoningError, match="strategy"):
+                EngineConfig(strategy=strategy)
 
     def test_bad_backend_rejected(self):
         with pytest.raises(LinearSystemError, match="unknown LP backend"):
@@ -139,6 +142,63 @@ class TestPipeline:
                 name for name in schema.class_symbols
                 if any(name in members for members in populated)))
         assert len(verdicts) == 1
+
+
+class TestPhaseOneRoute:
+    """``Expansion.strategy`` records the Phase-1 route that ran — the one
+    place the §4.4 hierarchy decision is made and kept."""
+
+    HIERARCHY = hierarchy_schema(2, 3, with_attributes=True, seed=1)
+
+    def test_auto_records_the_route_that_ran(self):
+        assert Pipeline(self.HIERARCHY).expansion.strategy == "hierarchy"
+        assert (Pipeline(clustered_schema(4, 3, seed=1)).expansion.strategy
+                == "strategic")
+
+    def test_requested_strategies_record_themselves(self):
+        for strategy in ("naive", "strategic"):
+            pipeline = Pipeline(self.HIERARCHY,
+                                EngineConfig(strategy=strategy))
+            assert pipeline.expansion.strategy == strategy
+
+    def test_stats_report_the_route(self):
+        stats = Pipeline(self.HIERARCHY).stats()
+        assert stats.strategy == "hierarchy"
+        assert stats.to_json()["strategy"] == "hierarchy"
+
+    def test_route_survives_compile_and_rehydration(self):
+        for schema, route in ((self.HIERARCHY, "hierarchy"),
+                              (clustered_schema(4, 3, seed=1), "strategic")):
+            artifact = Pipeline(schema).compile()
+            rehydrated = Pipeline.from_artifact(artifact)
+            assert rehydrated.expansion.strategy == route
+
+    def test_augmented_seeding_records_strategic(self):
+        schema = clustered_schema(3, 2, seed=1)
+        base = Reasoner(schema)
+        base.support
+        probe = ClassDef(base.fresh_class_name("Probe"),
+                         isa=Lit("K0_0") | Lit("K1_0"))
+        seeded = base.augmented_with(probe)
+        assert seeded._precomputed_classes is not None
+        assert seeded.expansion.strategy == "strategic"
+
+    def test_hierarchy_route_skips_augmented_seeding(self):
+        base = Reasoner(self.HIERARCHY)
+        base.support
+        probe = ClassDef(base.fresh_class_name("Probe"), isa=Lit("N1"))
+        assert base.augmented_with(probe)._precomputed_classes is None
+
+    def test_delta_build_records_strategic(self):
+        old = clustered_schema(4, 3, seed=1)
+        edited = [definition if definition.name != "K0_0" else
+                  ClassDef("K0_0", isa=Lit("K0_1"))
+                  for definition in old.class_definitions]
+        session = SchemaSession()
+        session.reasoner(old).support
+        reasoner, report = session.update(old, Schema(edited))
+        assert report.mode == "delta"
+        assert reasoner.expansion.strategy == "strategic"
 
 
 class TestReasonerFacade:

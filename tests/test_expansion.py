@@ -82,11 +82,12 @@ class TestCompoundClasses:
 
     def test_strategy_dispatch(self):
         schema = university()
-        for strategy in ("auto", "naive", "strategic", "hierarchy"):
+        for strategy in ("auto", "naive", "strategic"):
             result = compound_classes(schema, strategy)
             assert frozenset({"Person"}) in result
-        with pytest.raises(ValueError):
-            compound_classes(schema, "bogus")
+        for retired in ("bogus", "hierarchy"):
+            with pytest.raises(ValueError):
+                compound_classes(schema, retired)
 
 
 class TestCompoundAttributes:

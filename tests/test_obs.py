@@ -41,6 +41,13 @@ class C isa not D attributes a : (1, 2) D endclass
 class D endclass
 """
 
+#: An attribute and its inverse: each compound attribute sits in two
+#: bound entries, which the §4.4 certificate refuses, so the simplex runs.
+COUPLED_SOURCE = """
+class C isa not D attributes a : (2, 2) D endclass
+class D attributes (inv a) : (1, 1) C endclass
+"""
+
 
 class TestTracerBus:
     def test_spans_record_duration_and_parent(self):
@@ -240,9 +247,8 @@ class TestLpMetrics:
         from repro.linear.support import acceptable_support
 
         tracer = Tracer()
-        # Without the hierarchy hint, so the simplex runs.
         with use_tracer(tracer):
-            acceptable_support(build_expansion(parse_schema(CARD_SOURCE)),
+            acceptable_support(build_expansion(parse_schema(COUPLED_SOURCE)),
                                backend="exact-sparse")
         assert tracer.counter("lp.rounds") >= 1
         assert tracer.counter("lp.sparse_solves") >= 1

@@ -217,12 +217,9 @@ class TestAugmentedEquivalence:
         schema = clustered_schema(3, 2, seed=seed)
         naive = Reasoner(schema, config=EngineConfig(strategy="naive"))
         incremental = Reasoner(schema, config=EngineConfig(strategy="strategic"))
-        full = Reasoner(schema, config=EngineConfig(
-            strategy="strategic", incremental_augmented=False))
         for formula in cross_cluster_formulas(schema):
             expected = naive.is_formula_satisfiable(formula)
             assert incremental.is_formula_satisfiable(formula) == expected
-            assert full.is_formula_satisfiable(formula) == expected
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_augmented_reasoner_matches_cold_rebuild(self, seed):
