@@ -74,16 +74,15 @@ def _verdicts(pipeline: Pipeline) -> dict:
 
 def test_single_cluster_edit_beats_cold_rebuild():
     old = clustered_schema(8, 4, seed=7)
-    cold_pipeline = Pipeline(old, CONFIG)
-    _ = cold_pipeline.support  # warm the interpreter before timing
-    artifact = cold_pipeline.compile()
+    previous = Pipeline(old, CONFIG)
+    _ = previous.support  # warm the interpreter before timing
 
     new = _single_cluster_edit(old)
     delta = SchemaDelta.between(old, new)
     assert not delta.is_empty()
 
     def run_delta():
-        pipeline = Pipeline.recompile_from(artifact, delta, CONFIG)
+        pipeline = Pipeline.recompile_from(previous, delta, CONFIG)
         _ = pipeline.support
         return pipeline
 
@@ -128,13 +127,12 @@ def test_reuse_counters_flow_through_tracer():
     old = clustered_schema(6, 4, seed=7)
     pipeline = Pipeline(old, CONFIG)
     _ = pipeline.support
-    artifact = pipeline.compile()
     new = _single_cluster_edit(old)
     delta = SchemaDelta.between(old, new)
 
     tracer = Tracer()
     with use_tracer(tracer):
-        revalidated = Pipeline.recompile_from(artifact, delta, CONFIG)
+        revalidated = Pipeline.recompile_from(pipeline, delta, CONFIG)
         _ = revalidated.support
     counters = tracer.counters
     assert counters.get("registry.reuse", 0) > 0
@@ -147,11 +145,10 @@ def test_verdict_parity_across_sweep():
         old = clustered_schema(n_clusters, cluster_size, seed=seed)
         pipeline = Pipeline(old, CONFIG)
         _ = pipeline.support
-        artifact = pipeline.compile()
         new = _single_cluster_edit(old)
         delta = SchemaDelta.between(old, new)
 
-        delta_pipeline = Pipeline.recompile_from(artifact, delta, CONFIG)
+        delta_pipeline = Pipeline.recompile_from(pipeline, delta, CONFIG)
         _ = delta_pipeline.support
         cold_pipeline = Pipeline(new, CONFIG)
         _ = cold_pipeline.support

@@ -337,10 +337,11 @@ def expansion_pipeline() -> None:
          ["chain n", "pruned size", "pruned s", "verbatim size",
           "verbatim s"], rows)
 
-    # Incremental augmented queries: the seeding reuses untouched clusters'
-    # compound classes and extends the tables by one row, so the measured
-    # quantity is the augmented *pipeline build* (tables + enumeration);
-    # verdicts are checked against full rebuilds end to end.
+    # Augmented queries are one-class deltas (Pipeline.recompile_from):
+    # they keep every table row and the compound classes of untouched
+    # clusters, so the measured quantity is the augmented *pipeline build*
+    # (tables + enumeration).  Verdicts are checked against full rebuilds
+    # end to end, and a silent fallback to cold builds fails the run.
     from repro.core.schema import ClassDef
 
     rows = []
@@ -355,21 +356,29 @@ def expansion_pipeline() -> None:
                                   Clause((Lit(names[-1 - i]),)))))
             for i in range(8)
         ]
-        seeded_s, _ = timed(lambda: [
-            base.augmented_with(cdef).expansion for cdef in cdefs])
+        def delta_build(cdef):
+            augmented = base.augmented_with(cdef)
+            augmented.expansion
+            return augmented
+
+        seeded_s, seeded = timed(lambda: [delta_build(cdef)
+                                          for cdef in cdefs])
         cold_s, _ = timed(lambda: [
             Reasoner(schema.with_class(cdef), config=EngineConfig(strategy="strategic")).expansion
             for cdef in cdefs])
+        assert all(augmented.pipeline.delta_stats["mode"] == "delta"
+                   for augmented in seeded), "augmented query built cold"
         identical = all(
-            base.augmented_with(cdef).is_satisfiable(cdef.name)
+            augmented.is_satisfiable(cdef.name)
             == Reasoner(schema.with_class(cdef),
                         config=EngineConfig(strategy="strategic")
                         ).is_satisfiable(cdef.name)
-            for cdef in cdefs)
+            for augmented, cdef in zip(seeded, cdefs))
+        assert identical, "augmented verdicts differ from cold rebuilds"
         rows.append((n_clusters * cluster_size, len(cdefs), seeded_s,
                      cold_s, identical))
     print()
-    emit("Augmented queries — incremental seeding vs cold rebuilds "
+    emit("Augmented queries — delta seeding vs cold rebuilds "
          "(pipeline build)",
          ["classes", "queries", "seeded s", "cold s",
           "identical verdicts"], rows)
@@ -715,13 +724,12 @@ def registry_revalidation() -> None:
                                            (12, 6, 1)):
         old = clustered_schema(n_clusters, cluster_size, seed=seed)
         pipeline = Pipeline(old, config)
-        _ = pipeline.support  # warm build, also the artifact source
-        artifact = pipeline.compile()
+        _ = pipeline.support  # warm build, the registry's previous version
         new = single_cluster_edit(old)
         delta = SchemaDelta.between(old, new)
 
         def run_delta():
-            revalidated = Pipeline.recompile_from(artifact, delta, config)
+            revalidated = Pipeline.recompile_from(pipeline, delta, config)
             _ = revalidated.support
             return revalidated
 

@@ -24,7 +24,7 @@ over a pipeline; the CLI and benchmarks go through sessions.
 """
 
 from .artifact import (ARTIFACT_SCHEMA_VERSION, ArtifactCache,
-                       CompiledSchema, SupportSnapshot, config_fingerprint,
+                       CompiledSchema, config_fingerprint,
                        default_artifact_dir)
 from .config import EngineConfig
 from .delta import RevalidationReport, SchemaDelta
@@ -46,7 +46,6 @@ __all__ = [
     "RevalidationReport",
     "SchemaDelta",
     "SchemaSession",
-    "SupportSnapshot",
     "config_fingerprint",
     "default_artifact_dir",
     "schema_fingerprint",

@@ -20,10 +20,11 @@ the fix:
   :class:`~repro.engine.executor.BatchExecutor`.
 
 Unpickling a snapshot is an order of magnitude cheaper than re-running
-Phase 1, so a rehydrated pipeline skips straight to support solving.  The
-support itself is deliberately *not* stored: it depends on the LP knobs
-(``lp_backend``, ``use_propagation``, ``merge_columns``), so excluding it
-lets every LP configuration share one artifact.
+Phase 1, so a rehydrated pipeline skips straight to support solving, or
+past it when the support was already solved at compile time.  The LP
+knobs (``lp_backend``, ``use_propagation``, ``merge_columns``) stay out
+of the key: the maximal support is unique, so every LP configuration
+shares one artifact.
 
 Cache failures never change verdicts: a missing, corrupt, truncated,
 version-mismatched, or config-mismatched entry is counted
@@ -41,7 +42,6 @@ import os
 import pickle
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -59,7 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ARTIFACT_SCHEMA_VERSION",
     "CompiledSchema",
-    "SupportSnapshot",
     "ArtifactCache",
     "config_fingerprint",
     "default_artifact_dir",
@@ -68,7 +67,7 @@ __all__ = [
 #: Version of the :class:`CompiledSchema` payload.  Bump on any change to
 #: the snapshot fields *or* to the pickled shape of the stage products —
 #: a loader finding a different version treats the entry as stale and
-#: rebuilds from source.  v2 added the optional :class:`SupportSnapshot`
+#: rebuilds from source.  v2 added the optional support snapshot
 #: (support verdicts keyed by unknown, consumed by delta revalidation);
 #: v3 added the optional query-rewriting
 #: :class:`~repro.qa.closure.ClosureIndex`; v4 made ``Ψ_S`` integer and
@@ -76,8 +75,10 @@ __all__ = [
 #: tuples, bound entries), and per-attribute-endpoint clustering changed
 #: some cluster partitions; v5 dropped the stored §4.4 hierarchy flag —
 #: ``Expansion.strategy`` records the Phase-1 route that ran instead of
-#: the requested strategy.
-ARTIFACT_SCHEMA_VERSION = 5
+#: the requested strategy; v6 stores the solved
+#: :class:`~repro.linear.support.SupportResult` itself, over the artifact's
+#: own ``system``, in place of the snapshot keyed by unknown.
+ARTIFACT_SCHEMA_VERSION = 6
 
 #: Environment variable overriding the default artifact directory
 #: (useful for tests and hermetic CI runs).
@@ -114,66 +115,6 @@ def config_fingerprint(config: "EngineConfig") -> str:
 
 
 @dataclass(frozen=True)
-class SupportSnapshot:
-    """Backend-agnostic support verdicts, keyed by *unknown object*.
-
-    A :class:`~repro.linear.support.SupportResult` speaks in unknown
-    indices of one concrete :class:`~repro.linear.system.PsiSystem`; the
-    snapshot re-keys everything by the compound objects themselves, so the
-    verdicts survive being carried into a *different* system whose indices
-    diverged (the delta-revalidation path grafts untouched Ψ_S blocks from
-    a previous schema version's system into the new one).
-
-    The maximal acceptable support is unique and backend-independent (the
-    differential suite pins exact-sparse and float-fallback to identical support
-    sets), so storing it does not fragment the artifact cache per backend
-    the way storing raw LP state would.
-    """
-
-    backend_used: str
-    rounds: int
-    #: Unknown objects inside the maximal acceptable support.
-    supported: frozenset
-    #: Witness values per unknown object (the full acceptable solution).
-    values: tuple[tuple[object, Fraction], ...]
-    #: Pin log re-keyed by unknown: ``(unknown, phase, reason, round)``.
-    pins: tuple[tuple[object, str, str, int], ...]
-
-    @classmethod
-    def from_result(cls, result: "SupportResult") -> "SupportSnapshot":
-        """Re-key a support result by unknown object."""
-        unknowns = result.system.unknowns
-        return cls(
-            backend_used=result.backend_used,
-            rounds=result.rounds,
-            supported=frozenset(unknowns[i] for i in result.support),
-            values=tuple((unknowns[i], value)
-                         for i, value in sorted(result.solution.items())),
-            pins=tuple((unknowns[e.index], e.phase, e.reason, e.round)
-                       for e in result.pin_log),
-        )
-
-    def to_result(self, system: "PsiSystem") -> "SupportResult":
-        """Rebuild a :class:`SupportResult` against ``system``.
-
-        Only valid when ``system`` has exactly the unknowns this snapshot
-        covers (the unchanged-schema rehydration path); partial grafts go
-        through :func:`repro.engine.delta.merge_support` instead.
-        """
-        from ..linear.support import PinEvent, SupportResult
-
-        return SupportResult(
-            system=system,
-            support=frozenset(system.index_of(u) for u in self.supported),
-            solution={system.index_of(u): value for u, value in self.values},
-            rounds=self.rounds,
-            backend_used=self.backend_used,
-            pin_log=tuple(PinEvent(system.index_of(u), phase, reason, rnd)
-                          for u, phase, reason, rnd in self.pins),
-        )
-
-
-@dataclass(frozen=True)
 class CompiledSchema:
     """A frozen, picklable snapshot of one schema's compiled pipeline.
 
@@ -198,11 +139,12 @@ class CompiledSchema:
     expansion: "Expansion"
     system: "PsiSystem"
     clusters: Optional[tuple[frozenset, ...]]
-    #: Support verdicts, present only when the support stage had been
-    #: solved by compile() time.  Optional so snapshots stay shareable
-    #: across LP backends (the support itself is backend-independent) and
-    #: so the cheap on-system-built persist hook need not force Phase 2.
-    support: Optional[SupportSnapshot] = None
+    #: The solved support, over ``system`` (pickling keeps that identity),
+    #: present only when the support stage had been solved by compile()
+    #: time.  Optional so the cheap on-system-built persist hook need not
+    #: force Phase 2; the maximal support is unique, so snapshots stay
+    #: shareable across LP backends.
+    support: Optional["SupportResult"] = None
     #: The query-rewriting implication closure, present only when it had
     #: been built by compile() time (the ``/v1/query`` path forces it; a
     #: satisfiability-only run never pays for it).  Optional with a None

@@ -48,8 +48,6 @@ class EngineConfig:
     use_propagation / merge_columns:
         The two support-computation optimizations; disabled only by the
         ablation benchmarks, never changing verdicts.
-    augmented_cache_limit:
-        Bound on the per-reasoner memoized formula-verdict cache.
     session_cache_limit:
         Bound on the per-session LRU of warm reasoner pipelines.
     artifact_dir:
@@ -71,7 +69,6 @@ class EngineConfig:
     lp_backend: str = "auto"
     use_propagation: bool = True
     merge_columns: bool = True
-    augmented_cache_limit: int = 256
     session_cache_limit: int = 32
     artifact_dir: Optional[str] = field(default=None, compare=False)
 
@@ -86,10 +83,6 @@ class EngineConfig:
         if self.size_limit is not None and self.size_limit < 1:
             raise ReasoningError(
                 f"size_limit must be positive, got {self.size_limit}")
-        if self.augmented_cache_limit < 1:
-            raise ReasoningError(
-                "augmented_cache_limit must be positive, got "
-                f"{self.augmented_cache_limit}")
         if self.session_cache_limit < 1:
             raise ReasoningError(
                 "session_cache_limit must be positive, got "

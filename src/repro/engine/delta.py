@@ -1,20 +1,24 @@
-"""Schema deltas and diff-aware incremental revalidation.
+"""Schema deltas and diff-aware incremental rebuilds.
 
 The paper's cluster decomposition (Theorem 4.6) promises that an edit
-confined to one cluster of ``G_S`` need not pay for the others; the
-incremental augmented-query path (`Pipeline.seed_augmented`) already
-cashes that promise for the special case "one fresh query class".  This
-module generalizes it to arbitrary edits between two schema *versions*:
+confined to one cluster of ``G_S`` need not pay for the others.  This
+module cashes that promise for any edit between two schema *versions*,
+through :meth:`Pipeline.recompile_from
+<repro.engine.pipeline.Pipeline.recompile_from>` — the one incremental
+path: registry edits take it, and so do the reasoner's augmented queries
+(the schema plus one fresh query class, ``Reasoner.augmented_with``):
 
 * :class:`SchemaDelta` — the structural diff of two schemas: added,
   removed, and changed class and relation definitions, plus the derived
-  **dirty class set** (every class whose preselection rows, enumeration,
-  or cardinality entries could have changed);
-* :func:`seed_delta` — plans the reuse for a new pipeline: clusters of
-  the new schema that exist verbatim in the previous version's partition
-  and contain no dirty class keep their enumerated compound classes;
-  only touched clusters re-run DPLL (``registry.reuse`` /
-  ``registry.rebuilt`` tracer counters, one tick per cluster);
+  **dirty class set** (every class whose enumeration or cardinality
+  entries could have changed);
+* :func:`seed_delta` — plans the reuse for a new pipeline from the stage
+  products the previous pipeline has built: preselection-table rows whose
+  positive part holds no changed class are kept, and clusters of the new
+  schema that exist verbatim in the previous partition and contain no
+  dirty class keep their enumerated compound classes; only touched
+  clusters re-run DPLL (``registry.reuse`` / ``registry.rebuilt`` tracer
+  counters, one tick per cluster — augmented queries count too);
 * :func:`merge_support` — grafts support verdicts of untouched ``Ψ_S``
   blocks from the previous version: the system is block-diagonal across
   connected components (constraint rows and acceptability edges never
@@ -23,15 +27,16 @@ module generalizes it to arbitrary edits between two schema *versions*:
   structure, and governing cardinalities are provably unchanged carry
   their old verdicts, witnesses, and pin logs over, and only the dirty
   components are re-solved (``restrict_to`` in
-  :func:`~repro.linear.support.acceptable_support`);
+  :func:`~repro.linear.support.acceptable_support`;
+  ``registry.support_blocks_reused`` / ``_solved`` counters);
 * :class:`RevalidationReport` — the per-update accounting the registry
   and service surface (cluster/compound/support-block reuse counters).
 
 Soundness of cluster reuse: the positive closure of a class never leaves
 its cluster (criterion 1 of ``G_S`` connects every positive isa
-occurrence), so the preselection rows, emptiness and disjointness facts,
-and the DPLL enumeration of an untouched cluster are functions of its
-member definitions alone — all unchanged.  Compound attributes depend
+occurrence), so the DPLL enumeration of an untouched cluster is a
+function of its member definitions and their table rows alone — all
+unchanged.  Compound attributes depend
 only on their two endpoints' member definitions; compound relations
 additionally on their relation's definition, which is why a changed
 relation forces full re-enumeration of its compound relations (but not
@@ -52,7 +57,6 @@ from ..obs.tracer import current_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..expansion.expansion import Expansion
-    from .artifact import CompiledSchema, SupportSnapshot
     from .pipeline import Pipeline
 
 __all__ = [
@@ -205,7 +209,7 @@ class RevalidationReport:
 
 
 # ----------------------------------------------------------------------
-# Seeding a pipeline from (previous artifact, delta)
+# Seeding a pipeline from (previous pipeline, delta)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class DeltaExpansionSeed:
@@ -223,27 +227,27 @@ class DeltaExpansionSeed:
 @dataclass(frozen=True)
 class DeltaSupportSeed:
     """What the support stage needs to graft old verdicts: the previous
-    system, its stored verdicts, and the compound classes whose clusters
-    were reused (the untouched test for block reuse)."""
+    solved support (over the previous system) and the compound classes
+    whose clusters were reused (the untouched test for block reuse)."""
 
-    prev_system: PsiSystem
-    snapshot: "SupportSnapshot"
+    previous: SupportResult
     reused_classes: frozenset
 
 
-def seed_delta(pipeline: "Pipeline", prev: "CompiledSchema",
+def seed_delta(pipeline: "Pipeline", prev: "Pipeline",
                delta: SchemaDelta) -> bool:
     """Seed ``pipeline`` (for ``delta.new``) with everything reusable from
-    ``prev`` (the compiled previous version).  Returns False when the
-    diff-aware path does not apply — the caller then builds cold:
+    ``prev`` (the previous version's pipeline), reading only the stage
+    products ``prev`` has built — the seeds hold those products, never
+    ``prev`` itself.  Returns False when the diff-aware path does not
+    apply — the caller then builds cold:
 
-    * a ``naive`` strategy enumerates globally, so there is no per-cluster
-      reuse unit;
+    * a ``naive`` strategy or route enumerates globally, so there is no
+      per-cluster reuse unit;
+    * ``prev`` has not built its expansion, so there is nothing to reuse;
     * a schema the §4.4 closed form covers is answered faster by the
       closed form than by any reuse (the pipeline keeps the tables this
-      test built);
-    * a previous artifact without a cluster partition has nothing to match
-      against.
+      test built).
     """
     from ..expansion.enumerate import dpll_compound_classes
     from ..expansion.graph import clusters as compute_clusters
@@ -251,13 +255,17 @@ def seed_delta(pipeline: "Pipeline", prev: "CompiledSchema",
     from ..expansion.tables import build_tables
 
     config = pipeline.config
-    if config.strategy == "naive" or prev.clusters is None:
+    built = prev._artifacts
+    old_expansion = built.get("expansion")
+    if (config.strategy == "naive" or old_expansion is None
+            or old_expansion.strategy == "naive"):
         return False
     tracer = current_tracer()
     with tracer.span("pipeline.delta_seed"), \
             pipeline.timer.stage("delta_seed"):
         new_schema = pipeline.schema
-        tables = build_tables(new_schema)
+        tables = build_tables(new_schema, previous=built.get("tables"),
+                              changed=delta.changed_classes)
         if (config.strategy == "auto"
                 and hierarchy_compound_classes(new_schema, tables)
                 is not None):
@@ -267,12 +275,10 @@ def seed_delta(pipeline: "Pipeline", prev: "CompiledSchema",
         dirty = delta.dirty_classes()
 
         old_index = {component: index
-                     for index, component in enumerate(prev.clusters)}
-        old_cluster_of = {name: index
-                          for index, component in enumerate(prev.clusters)
-                          for name in component}
+                     for index, component in enumerate(prev.clusters())}
+        old_cluster_of = prev.cluster_of()
         grouped: dict[int, list[frozenset]] = {}
-        for members in prev.expansion.compound_classes:
+        for members in old_expansion.compound_classes:
             if members:
                 grouped.setdefault(old_cluster_of[next(iter(members))],
                                    []).append(members)
@@ -300,11 +306,11 @@ def seed_delta(pipeline: "Pipeline", prev: "CompiledSchema",
     pipeline._clusters = new_clusters
     pipeline._expansion_delta = DeltaExpansionSeed(
         classes=tuple(combined), reused=frozenset(reused),
-        old=prev.expansion, touched_relations=delta.touched_relations())
-    if prev.support is not None:
+        old=old_expansion, touched_relations=delta.touched_relations())
+    previous_support = built.get("support")
+    if previous_support is not None:
         pipeline._support_seed = DeltaSupportSeed(
-            prev_system=prev.system, snapshot=prev.support,
-            reused_classes=frozenset(reused))
+            previous=previous_support, reused_classes=frozenset(reused))
     pipeline.delta_stats.update({
         "mode": "delta",
         "clusters_total": len(new_clusters),
@@ -319,93 +325,60 @@ def seed_delta(pipeline: "Pipeline", prev: "CompiledSchema",
 # ----------------------------------------------------------------------
 # Support-block reuse
 # ----------------------------------------------------------------------
-def _components(system: PsiSystem) -> list[list[int]]:
-    """Connected components of ``Ψ_S``: unknowns coupled by a constraint
-    row or by an acceptability (endpoint) edge.  The system is
-    block-diagonal across these — the structural fact block reuse rests
-    on."""
-    n = system.n_unknowns()
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for constraint in system.constraints:
-        coefficients = constraint.coefficients
-        if coefficients:
-            first = coefficients[0][0]
-            for index, _ in coefficients[1:]:
-                union(first, index)
-    for index in range(n):
-        for endpoint in system.endpoints_of(index):
-            union(index, endpoint)
-
-    groups: dict[int, list[int]] = {}
-    for index in range(n):
-        groups.setdefault(find(index), []).append(index)
-    return list(groups.values())
-
-
 def merge_support(system: PsiSystem, seed: DeltaSupportSeed, *,
                   backend, use_propagation: bool, merge_columns: bool,
                   stats: Optional[dict] = None) -> SupportResult:
     """The support of ``system``, reusing verdicts of untouched blocks.
 
-    A connected component of the new system is **reusable** when every
+    A connected component of the new system (:meth:`PsiSystem.components
+    <repro.linear.system.PsiSystem.components>`) is **reusable** when every
     compound-class unknown in it belongs to a reused cluster, every
-    unknown existed in the previous system, and the component's unknown
-    set matches its previous component exactly — then its constraint rows
-    are provably identical (cardinality entries and summand sets are
-    functions of unchanged definitions), so the old verdicts, witness
-    values, and pin log carry over.  All remaining components are solved
-    together through :func:`~repro.linear.support.acceptable_support`
-    restricted to their indices.
+    unknown existed in the previous system, and the component is exactly
+    as large as the previous component holding those unknowns — an
+    endpoint edge joins the same unknowns in both systems, so the old
+    unknowns of a reusable component all sit in one previous component,
+    and equal sizes make the two the same.  Then its constraint rows are
+    provably identical (cardinality entries and summand sets are functions
+    of unchanged definitions), so the old verdicts, witness values, and
+    pin log carry over, mapped through the previous system's unknown
+    indices.  All remaining components are solved together through
+    :func:`~repro.linear.support.acceptable_support` restricted to their
+    indices.
     """
-    snapshot = seed.snapshot
+    previous = seed.previous
     reused_classes = seed.reused_classes
-    prev_index = {unknown: i
-                  for i, unknown in enumerate(seed.prev_system.unknowns)}
-    old_comp_of: dict[object, int] = {}
-    old_comp_sets: list[frozenset] = []
-    prev_unknowns = seed.prev_system.unknowns
-    for cid, component in enumerate(_components(seed.prev_system)):
-        members = frozenset(prev_unknowns[i] for i in component)
-        old_comp_sets.append(members)
-        for i in component:
-            old_comp_of[prev_unknowns[i]] = cid
+    lookup = previous.system.lookup
+    # Previous component sizes, keyed by each compound class in it (the
+    # compound classes lead every component).
+    n_old_classes = len(previous.system.class_unknown_indices())
+    old_size: dict[int, int] = {}
+    for component in previous.system.components():
+        for j in component:
+            if j >= n_old_classes:
+                break
+            old_size[j] = len(component)
 
     unknowns = system.unknowns
+    n_classes = len(system.class_unknown_indices())
     active: list[int] = []
-    reused_indices: list[int] = []
+    old_to_new: dict[int, int] = {}
     blocks_reused = blocks_solved = 0
-    for component in _components(system):
-        reusable = True
+    for component in system.components():
+        mapped = []
         for i in component:
             unknown = unknowns[i]
-            if unknown not in prev_index:
-                reusable = False
+            j = lookup(unknown)
+            if j is None or (i < n_classes
+                             and unknown not in reused_classes):
                 break
-            if isinstance(unknown, frozenset) and unknown not in reused_classes:
-                reusable = False
-                break
-        if reusable:
-            members = frozenset(unknowns[i] for i in component)
-            old_cid = old_comp_of[unknowns[component[0]]]
-            reusable = old_comp_sets[old_cid] == members
-        if reusable:
-            blocks_reused += 1
-            reused_indices.extend(component)
+            mapped.append(j)
         else:
-            blocks_solved += 1
-            active.extend(component)
+            if old_size[mapped[0]] == len(component):
+                blocks_reused += 1
+                old_to_new.update(zip(mapped, component))
+                continue
+        blocks_solved += 1
+        active.extend(component)
 
     if active:
         partial = acceptable_support(
@@ -419,21 +392,20 @@ def merge_support(system: PsiSystem, seed: DeltaSupportSeed, *,
     else:
         support, values, pin_log = set(), {}, []
         rounds = 0
-        backend_used = snapshot.backend_used
+        backend_used = previous.backend_used
 
-    old_values = dict(snapshot.values)
-    pins_by_unknown: dict[object, list] = {}
-    for unknown, phase, reason, round_number in snapshot.pins:
-        pins_by_unknown.setdefault(unknown, []).append(
-            (phase, reason, round_number))
     zero = Fraction(0)
-    for i in reused_indices:
-        unknown = unknowns[i]
-        if unknown in snapshot.supported:
+    old_solution = previous.solution
+    old_support = previous.support
+    for j, i in old_to_new.items():
+        if j in old_support:
             support.add(i)
-        values[i] = old_values.get(unknown, zero)
-        for phase, reason, round_number in pins_by_unknown.get(unknown, ()):
-            pin_log.append(PinEvent(i, phase, reason, round_number))
+        values[i] = old_solution.get(j, zero)
+    for event in previous.pin_log:
+        i = old_to_new.get(event.index)
+        if i is not None:
+            pin_log.append(PinEvent(i, event.phase, event.reason,
+                                    event.round))
 
     tracer = current_tracer()
     tracer.add("registry.support_blocks_reused", blocks_reused)

@@ -22,11 +22,12 @@ artifacts are never invalidated; build a new pipeline for a new schema or
 config (sessions handle the caching of whole pipelines).
 
 Schema-level derived structures that several consumers share — the clusters
-of ``G_S`` and the per-cluster compound-class grouping — live here too, as
-do the *seeding* hooks of the incremental augmented-query optimization (a
-seeded pipeline starts with prebuilt tables and precomputed compound
-classes instead of cold stages).  Whether a schema is a §4.4 hierarchy is
-not stored here: Phase 1 records its route on ``expansion.strategy``.
+of ``G_S`` and the class-to-cluster map — live here too, as does the one
+incremental path, :meth:`Pipeline.recompile_from`: a pipeline for an edited
+schema (a registry edit, or the schema plus one query class) seeded from
+the stage products of the previous version's pipeline.  Whether a schema
+is a §4.4 hierarchy is not stored here: Phase 1 records its route on
+``expansion.strategy``.
 """
 
 from __future__ import annotations
@@ -94,10 +95,7 @@ class PipelineStage:
 
 
 def _expansion_needs_tables(pipeline: "Pipeline") -> Optional[str]:
-    if (pipeline.config.strategy != "naive"
-            and pipeline._precomputed_classes is None):
-        return "tables"
-    return None
+    return "tables" if pipeline.config.strategy != "naive" else None
 
 
 class Pipeline:
@@ -125,11 +123,10 @@ class Pipeline:
         # eagerly forcing any stage themselves (an eager build would
         # escape the caller's per-query budget scope).
         self.on_system_built: Optional[Callable[["Pipeline"], None]] = None
-        # Seeds of the incremental augmented-query path (see seed_augmented).
-        self._precomputed_classes: Optional[tuple] = None
-        # Seeds of the diff-aware revalidation path (see recompile_from):
-        # a partial-expansion plan, an optional support-block graft, and
-        # the reuse accounting surfaced in RevalidationReports.
+        # Seeds of the incremental path (see recompile_from): a
+        # partial-expansion plan and an optional support-block graft, each
+        # dropped once its stage has built, and the reuse accounting
+        # surfaced in RevalidationReports.
         self._expansion_delta = None
         self._support_seed = None
         self.delta_stats: dict = {}
@@ -138,15 +135,23 @@ class Pipeline:
         # Schema-level derived structures, shared by several consumers.
         self._clusters: Optional[list[frozenset]] = None
         self._cluster_map: Optional[dict] = None
-        self._cluster_compound_map: Optional[dict] = None
 
     def built_stages(self) -> tuple[str, ...]:
         """The stages whose artifacts exist already (in build order)."""
         return tuple(name for name in self.STAGES if name in self._artifacts)
 
     def _stage_built(self, name: str) -> None:
-        """Stage-completion dispatch (called by :class:`PipelineStage`)."""
-        if name == "system" and self.on_system_built is not None:
+        """Stage-completion dispatch (called by :class:`PipelineStage`).
+
+        A delta seed goes once the stage it feeds has built, so a pipeline
+        never pins its predecessor's expansion or ``Ψ_S``: a long-running
+        session's chain of versions stays one version deep.
+        """
+        if name == "expansion":
+            self._expansion_delta = None
+        elif name == "support":
+            self._support_seed = None
+        elif name == "system" and self.on_system_built is not None:
             callback, self.on_system_built = self.on_system_built, None
             callback(self)
 
@@ -156,25 +161,17 @@ class Pipeline:
     def compile(self) -> "CompiledSchema":
         """A frozen, picklable snapshot of this pipeline's Phase-1/Phase-2
         products: tables, expansion (with its Phase-1 route), ``Ψ_S``, and
-        the cluster partition (building any that are missing).  The
-        support is *not* included — a rehydrated pipeline recomputes it
-        under its own LP configuration, so one snapshot serves every
-        backend.
+        the cluster partition (building any that are missing), plus the
+        support when it is already solved.  The maximal support is unique,
+        so one snapshot serves every LP backend.
         """
         from .artifact import (ARTIFACT_SCHEMA_VERSION, CompiledSchema,
-                               SupportSnapshot, config_fingerprint)
+                               config_fingerprint)
         from .session import schema_fingerprint
 
         tables = self.tables
         expansion = self.expansion
         system = self.system
-        # The support rides along only when it is already solved: the
-        # persist-on-system-built hook must never force Phase 2, but a
-        # fully answered pipeline's verdicts are worth keeping — they are
-        # what delta revalidation grafts into the next schema version.
-        support = self._artifacts.get("support")
-        snapshot = (SupportSnapshot.from_result(support)
-                    if support is not None else None)
         current_tracer().add("artifact.build")
         return CompiledSchema(
             schema_version=ARTIFACT_SCHEMA_VERSION,
@@ -187,9 +184,12 @@ class Pipeline:
             system=system,
             clusters=(tuple(self.clusters())
                       if self.config.strategy != "naive" else None),
-            support=snapshot,
-            # Like the support: ride along only when already built — a
-            # satisfiability-only compile never pays for the closure.
+            # The support rides along only when it is already solved: the
+            # persist-on-system-built hook must never force Phase 2, but a
+            # fully answered pipeline's verdicts are worth keeping.
+            support=self._artifacts.get("support"),
+            # Likewise the closure: a satisfiability-only compile never
+            # pays for it.
             closure=self._closure_index,
         )
 
@@ -230,63 +230,53 @@ class Pipeline:
         if artifact.support is not None:
             # Stored verdicts are backend-independent (the maximal support
             # is unique), so rehydration may skip Phase 2 entirely.
-            pipeline._artifacts["support"] = artifact.support.to_result(
-                artifact.system)
+            pipeline._artifacts["support"] = artifact.support
         if artifact.clusters is not None:
             pipeline._clusters = list(artifact.clusters)
         pipeline._closure_index = artifact.closure
         return pipeline
 
     @classmethod
-    def recompile_from(cls, prev: "CompiledSchema", delta,
+    def recompile_from(cls, prev: "Pipeline", delta,
                        config: Optional[EngineConfig] = None, *,
                        timer: Optional[StageTimer] = None) -> "Pipeline":
         """A pipeline for ``delta.new`` that reuses everything ``prev``
-        (the compiled previous version) can still vouch for.
+        (the previous version's pipeline) has built and can still vouch
+        for.
 
-        The diff-aware generalization of :meth:`seed_augmented`: clusters
-        of the new schema that match the previous partition verbatim and
-        contain no dirty class keep their enumerated compound classes,
-        their expansion rows, and (when ``prev`` stored verdicts) their
-        ``Ψ_S`` block supports; only touched clusters pay.  Falls back to
-        a cold pipeline — same verdicts, no reuse — when the delta path
-        does not apply (naive strategy, §4.4 hierarchies, cluster-less
-        artifacts).  ``config`` defaults to the snapshot's own and must
-        match its enumeration-shaping fingerprint, like
-        :meth:`from_artifact`.
+        The one incremental path, for registry edits and for augmented
+        queries (the schema plus one query class) alike.  ``prev`` is a
+        live pipeline, or :meth:`from_artifact` of a stored snapshot, which
+        checks the snapshot's version and config.  Untouched preselection
+        table rows are kept; clusters of the new schema that match the
+        previous partition verbatim and contain no dirty class keep their
+        compound classes and expansion rows; and, when ``prev`` has solved
+        its support, untouched ``Ψ_S`` blocks keep their verdicts.  Only
+        what the edit touched pays.  No stage of ``prev`` is forced.
+        Falls back to a cold pipeline — same verdicts, no reuse — when the
+        delta path does not apply (naive strategy or route, a new §4.4
+        hierarchy, ``prev`` without an expansion).  ``config`` defaults to
+        ``prev``'s.
 
-        An empty delta short-circuits to :meth:`from_artifact` (full
-        reuse).  Reuse accounting lands in ``pipeline.delta_stats`` and
-        the ``registry.reuse`` / ``registry.rebuilt`` tracer counters.
+        An empty delta shares ``prev``'s stage products.  Reuse accounting
+        lands in ``pipeline.delta_stats`` and the ``registry.reuse`` /
+        ``registry.rebuilt`` tracer counters.
         """
         from ..core.errors import ReasoningError
-        from .artifact import (ARTIFACT_SCHEMA_VERSION, CompiledSchema,
-                               config_fingerprint)
         from .delta import seed_delta
 
-        if not isinstance(prev, CompiledSchema):
+        if delta.old is not prev.schema and delta.old != prev.schema:
             raise ReasoningError(
-                f"expected a CompiledSchema, got {type(prev).__name__}")
-        if prev.schema_version != ARTIFACT_SCHEMA_VERSION:
-            raise ReasoningError(
-                f"artifact schema version {prev.schema_version} does "
-                f"not match this engine's {ARTIFACT_SCHEMA_VERSION}")
+                "delta.old does not match the schema of the previous "
+                "pipeline")
         config = config if config is not None else prev.config
-        if config_fingerprint(config) != prev.config_fingerprint:
-            raise ReasoningError(
-                "previous artifact was compiled under an incompatible "
-                "engine config (strategy/size_limit mismatch)")
-        from .session import schema_fingerprint
-        if prev.fingerprint != schema_fingerprint(delta.old):
-            raise ReasoningError(
-                "delta.old does not match the schema the previous "
-                "artifact was compiled from")
-        if delta.is_empty():
-            pipeline = cls.from_artifact(prev, config, timer=timer)
-            pipeline.delta_stats["mode"] = "unchanged"
-            return pipeline
         pipeline = cls(delta.new, config, timer=timer)
-        if not seed_delta(pipeline, prev, delta):
+        if delta.is_empty():
+            pipeline._artifacts.update(prev._artifacts)
+            pipeline._clusters = prev._clusters
+            pipeline._closure_index = prev._closure_index
+            pipeline.delta_stats["mode"] = "unchanged"
+        elif not seed_delta(pipeline, prev, delta):
             pipeline.delta_stats["mode"] = "fresh"
         return pipeline
 
@@ -314,8 +304,7 @@ class Pipeline:
             tables = self.tables  # prebuilt by the prerequisite hook
         return build_expansion(
             self.schema, self.config.strategy,
-            size_limit=self.config.size_limit, tables=tables,
-            precomputed_classes=self._precomputed_classes)
+            size_limit=self.config.size_limit, tables=tables)
 
     @PipelineStage("expansion")
     def system(self) -> PsiSystem:
@@ -327,11 +316,12 @@ class Pipeline:
         """The maximal acceptable support of ``Ψ_S`` plus a witness,
         computed by the configured LP backend (grafting verdicts of
         untouched blocks when the delta path seeded them)."""
-        if self._support_seed is not None:
+        seed = self._support_seed
+        if seed is not None:
             from .delta import merge_support
 
             return merge_support(
-                self.system, self._support_seed,
+                self.system, seed,
                 backend=self.config.lp_backend,
                 use_propagation=self.config.use_propagation,
                 merge_columns=self.config.merge_columns,
@@ -377,66 +367,6 @@ class Pipeline:
                     mapping[name] = index
             self._cluster_map = mapping
         return self._cluster_map
-
-    def compounds_by_cluster(self) -> dict:
-        """Nonempty compound classes of the expansion grouped by the cluster
-        containing them — the reuse units of incremental augmented queries.
-        Only meaningful when the enumeration was cluster-confined
-        (strategic)."""
-        if self._cluster_compound_map is None:
-            mapping = self.cluster_of()
-            grouped: dict = {}
-            for members in self.expansion.compound_classes:
-                if not members:
-                    continue
-                grouped.setdefault(mapping[next(iter(members))],
-                                   []).append(members)
-            self._cluster_compound_map = grouped
-        return self._cluster_compound_map
-
-    # ------------------------------------------------------------------
-    # Incremental augmented-query seeding
-    # ------------------------------------------------------------------
-    def can_seed_augmented(self, cdef) -> bool:
-        """Is the incremental path applicable?  Requires a fresh query class
-        and a cluster-confined (strategic) base enumeration that has already
-        been built — otherwise a cold build is both needed and cheapest."""
-        return ("expansion" in self._artifacts
-                and self.expansion.strategy == "strategic"
-                and cdef.name not in self.schema.class_symbols)
-
-    def seed_augmented(self, target: "Pipeline", cdef) -> None:
-        """Seed ``target`` (the pipeline of this schema plus ``cdef``)
-        incrementally: preselection tables are extended by one row instead
-        of rebuilt, and compound classes of every cluster the query class
-        does not touch are reused verbatim — only the merged cluster is
-        re-enumerated.  The seeding is an optimization only; verdicts are
-        identical to a cold rebuild (the equivalence suite asserts this)."""
-        from ..expansion.enumerate import dpll_compound_classes
-        from ..expansion.graph import clusters as compute_clusters
-
-        with current_tracer().span("pipeline.augmented_seed"), \
-                self.timer.stage("augmented_seed"):
-            aug_tables = self.tables.extended_with(target.schema, cdef.name)
-            aug_clusters = compute_clusters(target.schema, aug_tables)
-            base_index = {component: index
-                          for index, component in enumerate(self.clusters())}
-            grouped = self.compounds_by_cluster()
-            combined: list[frozenset] = [frozenset()]
-            for component in aug_clusters:
-                base_at = base_index.get(component)
-                if base_at is not None:
-                    # Untouched cluster: same universe, same definitions,
-                    # same table rows — the enumeration result is reusable.
-                    combined.extend(grouped.get(base_at, ()))
-                else:
-                    combined.extend(
-                        members for members in dpll_compound_classes(
-                            target.schema, sorted(component), aug_tables)
-                        if members)
-        target._artifacts["tables"] = aug_tables
-        target._clusters = aug_clusters
-        target._precomputed_classes = tuple(combined)
 
     # ------------------------------------------------------------------
     # Introspection

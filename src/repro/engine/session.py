@@ -15,9 +15,11 @@ that exploits this:
   fleet of schemas cannot exhaust memory;
 * batched entry points (:meth:`SchemaSession.check_many`,
   :meth:`SchemaSession.classify`) reuse **one** support computation — and,
-  through the reasoner's incremental augmented-query seeding, repeated
-  formula queries against the same schema reuse warm tables and untouched
-  clusters instead of rebuilding;
+  since the reasoner's augmented queries rebuild through
+  :meth:`Pipeline.recompile_from
+  <repro.engine.pipeline.Pipeline.recompile_from>`, repeated formula
+  queries against the same schema reuse warm table rows, untouched
+  clusters and their ``Ψ_S`` blocks instead of rebuilding;
 * with ``config.artifact_dir`` set, LRU misses consult the
   fingerprint-keyed **disk artifact cache**
   (:class:`~repro.engine.artifact.ArtifactCache`) before building: a hit
@@ -73,6 +75,16 @@ def schema_fingerprint(schema: SchemaLike) -> str:
         sorted(schema.relation_definitions, key=lambda rdef: rdef.name))
     return hashlib.sha256(
         render_schema(canonical).encode("utf-8")).hexdigest()
+
+
+def _fingerprint_of(schema: SchemaLike) -> str:
+    """The fingerprint of a schema or its source text — or ``schema``
+    itself when it already is one: a 64-character lowercase hex string,
+    which no schema source can be (every definition needs a keyword)."""
+    if (isinstance(schema, str) and len(schema) == 64
+            and all(ch in "0123456789abcdef" for ch in schema)):
+        return schema
+    return schema_fingerprint(schema)
 
 
 def _as_schema(schema: SchemaLike) -> Schema:
@@ -219,15 +231,15 @@ class SchemaSession:
         """Revalidate an edited schema, reusing the previous version's work.
 
         ``old`` names the previous version — a schema, its source text, or
-        directly its fingerprint (a 64-char hex string that parses as
-        neither is treated as a fingerprint only when it *is* one the
-        session has seen); ``None`` means "no predecessor", a cold build.
-        The previous :class:`~repro.engine.artifact.CompiledSchema` is
-        recovered from the warm LRU (:meth:`peek_compiled`) or the disk
-        artifact cache, a :class:`~repro.engine.delta.SchemaDelta` is
-        computed, and :meth:`Pipeline.recompile_from
-        <repro.engine.pipeline.Pipeline.recompile_from>` rebuilds only the
-        dirty clusters.  The new reasoner lands in the LRU under the new
+        directly its fingerprint (what the registry passes); ``None`` means
+        "no predecessor", a cold build.  The previous pipeline is the warm
+        LRU entry when it has built its ``system`` stage, else
+        :meth:`Pipeline.from_artifact
+        <repro.engine.pipeline.Pipeline.from_artifact>` of the disk
+        artifact; a :class:`~repro.engine.delta.SchemaDelta` from its
+        schema is computed, and :meth:`Pipeline.recompile_from
+        <repro.engine.pipeline.Pipeline.recompile_from>` rebuilds only what
+        the edit touched.  The new reasoner lands in the LRU under the new
         fingerprint (its support solved eagerly — an update *is* a
         revalidation), its artifact is persisted verdicts and all, and the
         returned :class:`~repro.engine.delta.RevalidationReport` itemizes
@@ -244,21 +256,18 @@ class SchemaSession:
         new_schema = _as_schema(new)
         new_fp = schema_fingerprint(new_schema)
         prev = old_fp = None
-        old_schema: Optional[Schema] = None
         if old is not None:
-            if (isinstance(old, str) and len(old) == 64
-                    and all(ch in "0123456789abcdef" for ch in old)):
-                old_fp = old
-            else:
-                old_schema = _as_schema(old)
-                old_fp = schema_fingerprint(old_schema)
-            prev = self.peek_compiled(old_fp)
-            if prev is None and self._artifact_cache is not None:
-                prev = self._artifact_cache.load(old_fp, self.config)
-            if prev is not None and old_schema is None:
-                old_schema = prev.schema
+            old_fp = _fingerprint_of(old)
+            with self._lock:
+                cached = self._cache.get(old_fp)
+            if cached is not None and "system" in cached.pipeline._artifacts:
+                prev = cached.pipeline
+            elif self._artifact_cache is not None:
+                artifact = self._artifact_cache.load(old_fp, self.config)
+                if artifact is not None:
+                    prev = Pipeline.from_artifact(artifact, self.config)
 
-        if prev is None or old_schema is None:
+        if prev is None:
             # Cold path: nothing to diff against.  reasoner() handles the
             # LRU bookkeeping; forcing support makes the update a complete
             # revalidation rather than a lazy promise.
@@ -269,7 +278,7 @@ class SchemaSession:
                 mode="fresh", fingerprint_old=old_fp, fingerprint_new=new_fp,
                 duration_s=_time.perf_counter() - started)
 
-        delta = SchemaDelta.between(old_schema, new_schema)
+        delta = SchemaDelta.between(prev.schema, new_schema)
         pipeline = Pipeline.recompile_from(prev, delta, self.config)
         _ = pipeline.support
         reasoner = Reasoner.from_pipeline(pipeline)
@@ -305,9 +314,10 @@ class SchemaSession:
     ) -> None:
         """Drop warm pipelines: one schema's, an iterable's worth, or all.
 
-        A single :class:`~repro.core.schema.Schema` or source-text string
-        names one schema (strings are *not* treated as iterables of
-        characters); any other iterable invalidates each member.
+        A single :class:`~repro.core.schema.Schema`, source-text string or
+        fingerprint names one schema (strings are *not* treated as
+        iterables of characters); any other iterable invalidates each
+        member.  A fingerprint is taken as it is, with no parse.
 
         Eviction is complete, not just an LRU pop: popped reasoners have
         their persist hooks disarmed, so a half-built pipeline invalidated
@@ -326,7 +336,7 @@ class SchemaSession:
             else:
                 members = ([schema] if isinstance(schema, (Schema, str))
                            else list(schema))
-                fingerprints = [schema_fingerprint(m) for m in members]
+                fingerprints = [_fingerprint_of(m) for m in members]
                 popped = [entry for entry in
                           (self._cache.pop(fp, None) for fp in fingerprints)
                           if entry is not None]

@@ -42,8 +42,9 @@ class PipelineStats(_JsonTextMixin):
     The size fields mirror the paper's complexity parameters (schema size,
     expansion size, |Ψ_S|); ``timings`` maps stage names to accumulated
     wall-clock seconds (``tables``, ``expansion``, ``system``, ``support``,
-    plus ``augmented_seed`` / ``augmented_query`` once augmented queries
-    ran); ``lp_backend`` names the arithmetic core that produced the final
+    plus ``augmented_query`` once augmented queries ran and ``delta_seed``
+    on a pipeline built by ``Pipeline.recompile_from``); ``lp_backend``
+    names the arithmetic core that produced the final
     support witness, and ``strategy`` the Phase-1 route that enumerated
     the compound classes (``Expansion.strategy``: ``"naive"``,
     ``"strategic"`` or ``"hierarchy"``).

@@ -69,9 +69,9 @@ class Expansion:
 
     ``strategy`` is the Phase-1 route that produced the compound classes:
     ``"naive"``, ``"strategic"`` or ``"hierarchy"`` (the §4.4 closed
-    form), never the requested ``"auto"``; classes reused from a previous
-    enumeration (augmented seeding, delta rebuilds) record
-    ``"strategic"``.  ``indexed`` controls the endpoint-lookup
+    form), never the requested ``"auto"``; delta rebuilds, which reuse
+    the classes of a previous enumeration, record ``"strategic"``.
+    ``indexed`` controls the endpoint-lookup
     implementation: prebuilt dictionaries (default) versus the legacy
     linear scans, kept for the ablation benchmarks and the
     index-equivalence tests.
@@ -204,9 +204,7 @@ class _SizeBudget:
 def build_expansion(schema: Schema, strategy: str = "auto", *,
                     include_unconstrained: bool = False,
                     size_limit: Optional[int] = None,
-                    tables=None,
-                    precomputed_classes: Optional[Sequence[frozenset]] = None
-                    ) -> Expansion:
+                    tables=None) -> Expansion:
     """Build the expansion of ``schema``.
 
     Parameters
@@ -225,11 +223,6 @@ def build_expansion(schema: Schema, strategy: str = "auto", *,
         Optional prebuilt :class:`~repro.expansion.tables.SchemaTables`,
         reused by the strategic enumeration instead of running the
         preselection pass again.
-    precomputed_classes:
-        Optional compound classes to use verbatim (skipping enumeration) —
-        the incremental augmented-query path of the reasoner supplies the
-        merged-cluster result here.  The expansion then records the route
-        ``"strategic"``.
 
     The ambient tracer receives the enumeration counters
     (``expansion.compound_classes``, the DPLL search counters) and the
@@ -246,13 +239,9 @@ def build_expansion(schema: Schema, strategy: str = "auto", *,
     """
     tick = current_budget().tick
     budget = _SizeBudget(size_limit)
-    if precomputed_classes is not None:
-        route, classes = "strategic", tuple(precomputed_classes)
-        current_tracer().add("expansion.precomputed_classes", len(classes))
-    else:
-        route, enumerated = routed_compound_classes(schema, strategy,
-                                                    tables=tables)
-        classes = tuple(enumerated)
+    route, enumerated = routed_compound_classes(schema, strategy,
+                                                tables=tables)
+    classes = tuple(enumerated)
     budget.charge(len(classes), "compound classes")
 
     natt: dict[tuple[frozenset, AttrRef], Card] = {}

@@ -25,7 +25,7 @@ quarter of candidate compound classes violating it.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Iterable, Optional
 
 from ..core.formulas import Lit
 from ..core.schema import Schema
@@ -42,17 +42,32 @@ class SchemaTables:
     ``empty_classes`` holds classes whose own closure is contradictory.
     """
 
-    def __init__(self, schema: Schema, deduction: str = "binary"):
+    def __init__(self, schema: Schema, deduction: str = "binary", *,
+                 previous: Optional["SchemaTables"] = None,
+                 changed: Iterable[str] = ()):
         if deduction not in ("unit", "binary"):
             raise ValueError(f"unknown deduction level {deduction!r}")
         self._schema = schema
         self._deduction = deduction
         symbols = sorted(schema.class_symbols)
-        self._symbols = symbols
+
+        # Rows kept from ``previous``: a row reads only the definitions of
+        # the classes in its own positive part, so it is final when none of
+        # them changed (a vanished class leaves a changed definition on the
+        # way to it).  Cluster membership is no substitute: a provably
+        # empty class sits alone in G_S, yet its row reads other clusters.
+        kept: dict[str, frozenset[Lit]] = {}
+        if previous is not None and previous._deduction == deduction:
+            changed = frozenset(changed)
+            old_up = previous._up
+            kept = {name: previous._implied[name] for name in symbols
+                    if name in old_up and old_up[name].isdisjoint(changed)}
+        pending = [name for name in symbols if name not in kept]
 
         # implied[C]: literals that hold for every instance of C.
-        implied: dict[str, set[Lit]] = {
-            name: {Lit(name)} for name in symbols}
+        implied: dict[str, AbstractSet[Lit]] = dict(kept)
+        for name in pending:
+            implied[name] = {Lit(name)}
         # Short clauses per class: units seed directly, binaries resolve.
         units: dict[str, list[Lit]] = {name: [] for name in symbols}
         binaries: dict[str, list[tuple[Lit, Lit]]] = {name: [] for name in symbols}
@@ -64,10 +79,10 @@ class SchemaTables:
                     first, second = clause.literals
                     binaries[name].append((first, second))
 
-        changed = True
-        while changed:
-            changed = False
-            for name in symbols:
+        changing = True
+        while changing:
+            changing = False
+            for name in pending:
                 bag = implied[name]
                 before = len(bag)
                 for lit in list(bag):
@@ -83,11 +98,8 @@ class SchemaTables:
                         if ~second in bag:
                             bag.add(first)
                 if len(bag) != before:
-                    changed = True
+                    changing = True
 
-        # Retained for the incremental extension path (extended_with).
-        self._units = {name: tuple(lits) for name, lits in units.items()}
-        self._binaries = {name: tuple(pairs) for name, pairs in binaries.items()}
         self._implied = {name: frozenset(bag) for name, bag in implied.items()}
         self._up = {
             name: frozenset(lit.name for lit in bag if lit.positive)
@@ -107,9 +119,19 @@ class SchemaTables:
             if self._up[name] & self._empty:
                 self._empty.add(name)
 
+        # Pairs of kept rows keep their verdict; only pairs touching a
+        # recomputed row are checked.
         self._disjoint: set[frozenset[str]] = set()
-        for i, c1 in enumerate(symbols):
-            for c2 in symbols[i + 1:]:
+        if kept:
+            dropped = set(previous._implied) - kept.keys()
+            self._disjoint = {pair for pair in previous._disjoint
+                              if pair.isdisjoint(dropped)}
+            for c1 in pending:
+                for c2 in kept:
+                    if self._clash(c1, c2):
+                        self._disjoint.add(frozenset((c1, c2)))
+        for i, c1 in enumerate(pending):
+            for c2 in pending[i + 1:]:
                 if self._clash(c1, c2):
                     self._disjoint.add(frozenset((c1, c2)))
 
@@ -180,78 +202,6 @@ class SchemaTables:
         return f"{name} is refuted by propagation over the isa parts"
 
     # ------------------------------------------------------------------
-    # Incremental extension (augmented-query fast path)
-    # ------------------------------------------------------------------
-    def extended_with(self, schema: Schema, name: str) -> "SchemaTables":
-        """Tables for ``schema`` — this schema plus the *fresh* class ``name``.
-
-        Requires that no pre-existing definition mentions ``name`` (the
-        reasoner's query classes satisfy this by construction).  Then every
-        base closure row is already final — the fixpoint for an old class
-        never inspects the new one — so only the new class's row, its empty
-        check, and its disjointness pairs need computing: ``O(|C|)`` clash
-        checks instead of the full ``O(|C|²)`` preselection pass.  The
-        equivalence with :func:`build_tables` on the augmented schema is
-        asserted by the test suite.
-        """
-        cdef = schema.definition(name)
-        if name in self._implied:
-            raise ValueError(f"class {name!r} already has a table row")
-
-        units: list[Lit] = []
-        binaries: list[tuple[Lit, Lit]] = []
-        for clause in cdef.isa:
-            if len(clause) == 1:
-                units.append(clause.literals[0])
-            elif len(clause) == 2 and self._deduction == "binary":
-                first, second = clause.literals
-                binaries.append((first, second))
-
-        bag: set[Lit] = {Lit(name)}
-        bag.update(units)
-        changed = True
-        while changed:
-            before = len(bag)
-            for lit in list(bag):
-                if not lit.positive or lit.name == name:
-                    continue
-                # Base rows are final: one update pulls the full closure.
-                bag.update(self._implied.get(lit.name, frozenset((lit,))))
-                for first, second in self._binaries.get(lit.name, ()):
-                    if ~first in bag:
-                        bag.add(second)
-                    if ~second in bag:
-                        bag.add(first)
-            for first, second in binaries:
-                if ~first in bag:
-                    bag.add(second)
-                if ~second in bag:
-                    bag.add(first)
-            changed = len(bag) != before
-
-        extended = SchemaTables.__new__(SchemaTables)
-        extended._schema = schema
-        extended._deduction = self._deduction
-        extended._symbols = sorted(set(self._symbols) | {name})
-        extended._units = {**self._units, name: tuple(units)}
-        extended._binaries = {**self._binaries, name: tuple(binaries)}
-        extended._implied = {**self._implied, name: frozenset(bag)}
-        up = frozenset(lit.name for lit in bag if lit.positive)
-        neg = frozenset(lit.name for lit in bag if not lit.positive)
-        extended._up = {**self._up, name: up}
-        extended._neg = {**self._neg, name: neg}
-        empty = set(self._empty)
-        if up & neg or up & empty:
-            empty.add(name)
-        extended._empty = empty
-        disjoint = set(self._disjoint)
-        for other in self._symbols:
-            if other != name and extended._clash(name, other):
-                disjoint.add(frozenset((name, other)))
-        extended._disjoint = disjoint
-        return extended
-
-    # ------------------------------------------------------------------
     # Pruning interface for the enumerator
     # ------------------------------------------------------------------
     def closure(self, members: AbstractSet[str]) -> frozenset[str]:
@@ -279,6 +229,16 @@ class SchemaTables:
         return True
 
 
-def build_tables(schema: Schema, deduction: str = "binary") -> SchemaTables:
-    """Run the preselection pass and return the filled tables."""
-    return SchemaTables(schema, deduction)
+def build_tables(schema: Schema, deduction: str = "binary", *,
+                 previous: Optional[SchemaTables] = None,
+                 changed: Iterable[str] = ()) -> SchemaTables:
+    """Run the preselection pass and return the filled tables.
+
+    With ``previous`` (the tables of an earlier version of the schema) and
+    ``changed`` (the classes whose definitions differ from that version's),
+    every row whose positive part holds no changed class is reused, and
+    only the other rows, their emptiness and the disjointness pairs that
+    touch them are computed.  The result equals a full build.
+    """
+    return SchemaTables(schema, deduction, previous=previous,
+                        changed=changed)

@@ -20,7 +20,7 @@ scale to integer ones (Theorem 4.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from ..core.cardinality import INFINITY
 from ..core.errors import LinearSystemError
@@ -91,6 +91,10 @@ class PsiSystem:
             return self._index[unknown]
         except KeyError:
             raise LinearSystemError(f"unknown not in system: {unknown!r}") from None
+
+    def lookup(self, unknown: Unknown) -> Optional[int]:
+        """The index of ``unknown``, or None when the system lacks it."""
+        return self._index.get(unknown)
 
     def _endpoint_indices(self, unknown: Unknown) -> tuple[int, ...]:
         if isinstance(unknown, CompoundAttribute):
@@ -174,6 +178,41 @@ class PsiSystem:
         """Indices of the compound-class unknowns that must be positive for
         unknown ``index`` to be positive in an *acceptable* solution."""
         return self._endpoints[index]
+
+    def components(self) -> list[list[int]]:
+        """The connected components of the system: unknowns coupled by a
+        constraint row or by an acceptability (endpoint) edge.  The system
+        is block-diagonal across them, so each block's support can be
+        decided alone.  Each component lists its compound classes first.
+
+        Every row couples one compound class with summands that have it as
+        an endpoint, so the endpoint edges alone connect each component:
+        the union-find runs over the compound classes, joining the
+        endpoints of each compound attribute and relation.
+        """
+        n_classes = len(self._class_indices)
+        endpoints = self._endpoints
+        parent = list(range(n_classes))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for ends in endpoints[n_classes:]:
+            root = find(ends[0])
+            for endpoint in ends:
+                other = find(endpoint)
+                if other != root:
+                    parent[other] = root
+        roots = [find(index) for index in range(n_classes)]
+        groups: dict[int, list[int]] = {}
+        for index, root in enumerate(roots):
+            groups.setdefault(root, []).append(index)
+        for index in range(n_classes, len(endpoints)):
+            groups[roots[endpoints[index][0]]].append(index)
+        return list(groups.values())
 
     def describe(self) -> str:
         lines = [f"Psi_S: {self.n_unknowns()} unknowns, "

@@ -35,6 +35,10 @@ from ..obs.tracer import current_tracer
 
 __all__ = ["Reasoner", "CoherenceReport"]
 
+#: Bound on each reasoner's memo of augmented formula verdicts
+#: (:meth:`Reasoner._augmented_satisfiable`).
+AUGMENTED_CACHE_LIMIT = 256
+
 
 @dataclass(frozen=True)
 class CoherenceReport:
@@ -132,12 +136,6 @@ class Reasoner:
     def support(self) -> SupportResult:
         return self._pipeline.support
 
-    @property
-    def _precomputed_classes(self) -> Optional[tuple]:
-        # Exposed for the equivalence suite: non-None exactly when this
-        # reasoner was seeded by the incremental augmented-query path.
-        return self._pipeline._precomputed_classes
-
     def timings(self) -> dict[str, float]:
         """Accumulated wall-clock seconds per pipeline stage (``tables``,
         ``expansion``, ``system``, ``support``, ``augmented_query``, …)."""
@@ -226,19 +224,24 @@ class Reasoner:
     def augmented_with(self, cdef) -> "Reasoner":
         """A reasoner over this schema plus one query class definition.
 
-        When this reasoner enumerated strategically and has its pipeline
-        built, the augmented reasoner's pipeline is *seeded incrementally*:
-        preselection tables are extended by one row instead of rebuilt, and
-        compound classes of every cluster the query class does not touch are
-        reused verbatim — only the merged cluster is re-enumerated.  The
-        seeding is an optimization only; verdicts are identical to a cold
-        rebuild (the equivalence suite asserts this).
+        When this reasoner has built its expansion, the augmented pipeline
+        is a one-class delta through :meth:`Pipeline.recompile_from
+        <repro.engine.pipeline.Pipeline.recompile_from>`: it keeps every
+        preselection-table row, the compound classes and expansion rows of
+        every cluster the query class does not touch, and, once this
+        reasoner has solved its support, the verdicts of the untouched
+        ``Ψ_S`` blocks — only the merged cluster is re-enumerated and
+        re-solved.  Otherwise it is built cold.  Verdicts are identical to
+        a cold rebuild either way (the equivalence suite asserts this).
         """
-        augmented = Reasoner(self.schema.with_class(cdef),
-                             config=self._config)
-        if self._pipeline.can_seed_augmented(cdef):
-            self._pipeline.seed_augmented(augmented._pipeline, cdef)
-        return augmented
+        schema = self.schema.with_class(cdef)
+        if "expansion" not in self._pipeline.built_stages():
+            return Reasoner(schema, config=self._config)
+        from ..engine.delta import SchemaDelta
+
+        return Reasoner.from_pipeline(Pipeline.recompile_from(
+            self._pipeline, SchemaDelta.between(self.schema, schema),
+            self._config))
 
     def _augmented_satisfiable(self, formula: Formula) -> bool:
         from ..core.schema import ClassDef
@@ -256,7 +259,7 @@ class Reasoner:
             verdict = self.augmented_with(
                 ClassDef(name, isa=formula)).is_satisfiable(name)
         self._augmented_cache[formula] = verdict
-        if len(self._augmented_cache) > self._config.augmented_cache_limit:
+        if len(self._augmented_cache) > AUGMENTED_CACHE_LIMIT:
             self._augmented_cache.popitem(last=False)
         return verdict
 
@@ -324,6 +327,5 @@ class Reasoner:
         plus per-stage wall-clock timings — a typed
         :class:`~repro.engine.stats.PipelineStats` payload (the timings
         cover ``tables``, ``expansion``, ``system``, ``support``, and —
-        once augmented queries ran — ``augmented_seed`` /
-        ``augmented_query``)."""
+        once augmented queries ran — ``augmented_query``)."""
         return self._pipeline.stats()

@@ -246,7 +246,8 @@ class SchemaRegistry:
                     f"unpin one before adding more")
             dropped = history.pop(prunable)
             current_tracer().add("registry.pruned")
-            self.session.invalidate(dropped.source)
+            if not self._is_live(dropped.fingerprint):
+                self.session.invalidate(dropped.fingerprint)
 
     def pin(self, name: str, version: int, *, tenant: Optional[str] = None,
             pinned: bool = True) -> SchemaVersion:
@@ -268,7 +269,8 @@ class SchemaRegistry:
         """Delete a whole schema, or one version of it.
 
         Returns the number of versions removed.  The session's warm
-        pipelines for the removed sources are invalidated; with
+        pipelines for the removed sources are invalidated, unless a
+        remaining version still holds the same fingerprint; with
         ``drop_artifacts=True`` their on-disk artifacts go too (the
         default keeps them — a re-put of known source then revalidates
         nearly for free).
@@ -292,9 +294,9 @@ class SchemaRegistry:
             tracer.add("registry.delete", len(removed))
             tracer.gauge(f"registry.schemas.{tenant}",
                          self._schema_count(tenant))
-        for entry in removed:
-            self.session.invalidate(entry.source,
-                                    drop_artifacts=drop_artifacts)
+            gone = [entry.fingerprint for entry in removed
+                    if not self._is_live(entry.fingerprint)]
+        self.session.invalidate(gone, drop_artifacts=drop_artifacts)
         return len(removed)
 
     # ------------------------------------------------------------------
@@ -386,6 +388,14 @@ class SchemaRegistry:
             raise RegistryNotFound(
                 f"no schema named {name!r} for tenant {tenant!r}")
         return history
+
+    def _is_live(self, fingerprint: str) -> bool:
+        """Does a stored version of any schema still hold ``fingerprint``?
+        Then its warm pipeline stays in the session: pruning or deleting
+        another version with the same source must not evict it."""
+        return any(version.fingerprint == fingerprint
+                   for history in self._entries.values()
+                   for version in history)
 
     def _schema_count(self, tenant: str) -> int:
         return sum(1 for owner, _ in self._entries if owner == tenant)

@@ -1,10 +1,11 @@
 """Diff-aware incremental revalidation (PR 7's tentpole machinery).
 
 The contract under test: for ANY pair of schema versions, a pipeline
-produced by :meth:`Pipeline.recompile_from` — reusing untouched clusters'
-expansion rows, compound classes, and ``Ψ_S`` block supports from the
-previous version's :class:`CompiledSchema` — must be *observationally
-identical* to a cold build of the new version: the same compound classes,
+produced by :meth:`Pipeline.recompile_from` — reusing table rows,
+untouched clusters' expansion rows, compound classes, and ``Ψ_S`` block
+supports from the previous version's pipeline (here rehydrated from its
+:class:`CompiledSchema`) — must be *observationally identical* to a cold
+build of the new version: the same compound classes,
 the same maximal support, the same satisfiability verdict for every class
 symbol.  The differential suites below drive that across randomized
 single-definition edits (add / remove / rewrite a class, tighten an
@@ -67,7 +68,8 @@ def revalidated(old, new, config=CONFIG):
     """old → compile → delta → recompile_from, returning the pipeline."""
     _, artifact = compiled(old, config)
     delta = SchemaDelta.between(old, new)
-    return Pipeline.recompile_from(artifact, delta, config)
+    return Pipeline.recompile_from(Pipeline.from_artifact(artifact), delta,
+                                   config)
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +202,8 @@ class TestChainedEdits:
         for _ in range(3):
             new = rng.choice(EDITS)(schema, rng)
             delta = SchemaDelta.between(schema, new)
-            pipeline = Pipeline.recompile_from(artifact, delta, CONFIG)
+            pipeline = Pipeline.recompile_from(
+                Pipeline.from_artifact(artifact), delta, CONFIG)
             assert_equivalent(pipeline, new)
             artifact = pipeline.compile()
             schema = new
@@ -283,7 +286,8 @@ class TestReuseAccounting:
         schema = clustered_schema(3, 3, seed=1)
         _, artifact = compiled(schema)
         pipeline = Pipeline.recompile_from(
-            artifact, SchemaDelta.between(schema, schema), CONFIG)
+            Pipeline.from_artifact(artifact),
+            SchemaDelta.between(schema, schema), CONFIG)
         assert pipeline.delta_stats["mode"] == "unchanged"
         # the stored verdicts rehydrate: no Phase-2 recomputation needed
         assert "support" in pipeline._artifacts
@@ -296,7 +300,8 @@ class TestReuseAccounting:
         new = edit_add_class(old, random.Random(0))
         pipeline, artifact = compiled(old, config)
         delta = SchemaDelta.between(old, new)
-        rebuilt = Pipeline.recompile_from(artifact, delta, config)
+        rebuilt = Pipeline.recompile_from(Pipeline.from_artifact(artifact),
+                                          delta, config)
         assert rebuilt.delta_stats["mode"] == "fresh"
         assert_equivalent(rebuilt, new, config)
 
@@ -306,8 +311,10 @@ class TestReuseAccounting:
         delta = SchemaDelta.between(old, edit_add_class(
             old, random.Random(1)))
         with pytest.raises(ReasoningError):
-            Pipeline.recompile_from(artifact, delta,
-                                    EngineConfig(strategy="naive"))
+            Pipeline.recompile_from(
+                Pipeline.from_artifact(artifact,
+                                       EngineConfig(strategy="naive")),
+                delta)
 
     def test_wrong_old_schema_is_refused(self):
         schema_a = clustered_schema(2, 2, seed=0)
@@ -316,7 +323,51 @@ class TestReuseAccounting:
         delta = SchemaDelta.between(schema_b, edit_add_class(
             schema_b, random.Random(1)))
         with pytest.raises(ReasoningError):
-            Pipeline.recompile_from(artifact, delta, CONFIG)
+            Pipeline.recompile_from(Pipeline.from_artifact(artifact), delta,
+                                    CONFIG)
+
+
+class TestComponents:
+    """``PsiSystem.components`` (a union-find over compound classes only)
+    equals the components of every constraint row and endpoint edge."""
+
+    @staticmethod
+    def reference(system):
+        parent = list(range(system.n_unknowns()))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        edges = [(row.coefficients[0][0], index)
+                 for row in system.constraints
+                 for index, _ in row.coefficients]
+        edges += [(index, endpoint) for index in range(system.n_unknowns())
+                  for endpoint in system.endpoints_of(index)]
+        for a, b in edges:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+        groups = {}
+        for index in range(system.n_unknowns()):
+            groups.setdefault(find(index), set()).add(index)
+        return sorted(map(sorted, groups.values()))
+
+    @pytest.mark.parametrize("schema", [
+        random_schema(7, seed=2), clustered_schema(4, 3, seed=1),
+        cardinality_chain_schema(4, fan_out=2),
+        hierarchy_schema(2, 3, with_attributes=True, seed=1),
+        TestRelationEdits().base()], ids=[
+        "random", "clustered", "chain", "hierarchy", "relation"])
+    def test_matches_rows_and_endpoint_edges(self, schema):
+        system = Pipeline(schema, EngineConfig(strategy="strategic")).system
+        components = system.components()
+        n_classes = len(system.class_unknown_indices())
+        for component in components:
+            classes = [i for i in component if i < n_classes]
+            assert component[:len(classes)] == classes  # classes lead
+        assert sorted(map(sorted, components)) == self.reference(system)
 
 
 class TestSchemaDelta:
@@ -374,6 +425,103 @@ class TestSessionUpdate:
         _ = session.reasoner(old).pipeline.support
         _, report = session.update(schema_fingerprint(old), new)
         assert report.mode == "delta"
+
+    def test_warm_fingerprint_update_compiles_only_the_new_version(
+            self, tmp_path, monkeypatch):
+        """The registry names the old version by fingerprint.  With it warm
+        in the LRU, update neither fingerprints nor compiles the old
+        version: ``Pipeline.compile`` runs once, for the new artifact."""
+        from repro.engine import session as session_module
+
+        config = EngineConfig(artifact_dir=str(tmp_path))
+        old = clustered_schema(3, 3, seed=4)
+        new = self.edited(old)
+        session = SchemaSession(config)
+        _ = session.reasoner(old).pipeline.support
+        old_fp = schema_fingerprint(old)
+
+        fingerprinted = []
+        original_fingerprint = session_module.schema_fingerprint
+
+        def counting_fingerprint(schema):
+            fingerprint = original_fingerprint(schema)
+            fingerprinted.append(fingerprint)
+            return fingerprint
+
+        compiled_schemas = []
+        original_compile = Pipeline.compile
+
+        def counting_compile(pipeline):
+            compiled_schemas.append(pipeline.schema)
+            return original_compile(pipeline)
+
+        monkeypatch.setattr(session_module, "schema_fingerprint",
+                            counting_fingerprint)
+        monkeypatch.setattr(Pipeline, "compile", counting_compile)
+        _, report = session.update(old_fp, new)
+        assert report.mode == "delta"
+        assert old_fp not in fingerprinted
+        assert len(compiled_schemas) == 1
+        assert compiled_schemas[0] is new
+
+    def test_rebuilt_pipeline_releases_the_previous_system(self):
+        """The seeds go once their stages have built: a version's pipeline
+        does not pin its predecessor's ``Ψ_S`` (a long-running session
+        would otherwise hold every version it ever saw)."""
+        import gc
+        import weakref
+
+        old = clustered_schema(4, 3, seed=1)
+        new = self.edited(old)
+        prev = Pipeline(old, CONFIG)
+        _ = prev.support
+        previous_system = weakref.ref(prev.system)
+        pipeline = Pipeline.recompile_from(
+            prev, SchemaDelta.between(old, new))
+        assert pipeline.delta_stats["mode"] == "delta"
+        _ = pipeline.support
+        assert pipeline.delta_stats["support_blocks_reused"] > 0
+        del prev
+        gc.collect()
+        assert previous_system() is None
+        assert_equivalent(pipeline, new)
+
+    def test_racing_first_builds_of_a_seeded_pipeline_agree(self):
+        """Threads racing on the first build of a delta-seeded pipeline
+        all get the cold build's support: a seed dropped by the winning
+        builder must not break one already inside its stage."""
+        import sys
+        import threading
+
+        old = clustered_schema(4, 3, seed=1)
+        new = self.edited(old)
+        prev = Pipeline(old, CONFIG)
+        _ = prev.support
+        expected = support_set(Pipeline(new, CONFIG))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                pipeline = Pipeline.recompile_from(
+                    prev, SchemaDelta.between(old, new))
+                results, errors = [], []
+
+                def build():
+                    try:
+                        results.append(support_set(pipeline))
+                    except Exception as exc:  # noqa: BLE001
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=build) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert results == [expected] * 4
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_update_without_previous_is_fresh(self):
         session = SchemaSession()

@@ -71,8 +71,6 @@ class TestEngineConfig:
         with pytest.raises(ReasoningError):
             EngineConfig(size_limit=0)
         with pytest.raises(ReasoningError):
-            EngineConfig(augmented_cache_limit=0)
-        with pytest.raises(ReasoningError):
             EngineConfig(session_cache_limit=0)
 
     def test_replace_revalidates(self):
@@ -180,14 +178,25 @@ class TestPhaseOneRoute:
         probe = ClassDef(base.fresh_class_name("Probe"),
                          isa=Lit("K0_0") | Lit("K1_0"))
         seeded = base.augmented_with(probe)
-        assert seeded._precomputed_classes is not None
+        assert seeded.pipeline.delta_stats["mode"] == "delta"
         assert seeded.expansion.strategy == "strategic"
 
-    def test_hierarchy_route_skips_augmented_seeding(self):
+    def test_hierarchy_route_seeds_augmented_queries(self):
+        """A §4.4 base seeds its augmented pipelines too: its paths are
+        the consistent compound classes of each untouched cluster."""
         base = Reasoner(self.HIERARCHY)
         base.support
-        probe = ClassDef(base.fresh_class_name("Probe"), isa=Lit("N1"))
-        assert base.augmented_with(probe)._precomputed_classes is None
+        assert base.expansion.strategy == "hierarchy"
+        names = sorted(base.schema.class_symbols)
+        for isa in (Lit("N1"), Lit(names[1]) & Lit(names[-1])):
+            probe = ClassDef(base.fresh_class_name("Probe"), isa=isa)
+            seeded = base.augmented_with(probe)
+            cold = Reasoner(base.schema.with_class(probe))
+            assert seeded.pipeline.delta_stats["mode"] == "delta"
+            assert (set(seeded.expansion.compound_classes)
+                    == set(cold.expansion.compound_classes))
+            for name in names + [probe.name]:
+                assert seeded.is_satisfiable(name) == cold.is_satisfiable(name)
 
     def test_delta_build_records_strategic(self):
         old = clustered_schema(4, 3, seed=1)

@@ -197,13 +197,13 @@ class TestPerCallTracing:
         assert edit.counter("registry.rebuilt") == 1
         assert edit.counter("expansion.dpll_branches") > 0
 
-        # B and Y sit in different clusters: the augmented path re-runs
-        # DPLL on the merged cluster.
+        # B and Y sit in different clusters: the augmented query is a
+        # one-class delta that re-runs DPLL on the merged cluster.
         query = Tracer()
         with use_tracer(query):
             assert reasoner.is_formula_satisfiable(
                 parse_formula("B and Y")) is True
-        assert query.span_count("pipeline.augmented_seed") == 1
+        assert query.span_count("pipeline.delta_seed") == 1
         assert query.counter("expansion.dpll_branches") > 0
 
 

@@ -1,13 +1,14 @@
 """Equivalence guarantees for the indexed expansion pipeline.
 
 The throughput optimizations — endpoint indexes, binding-endpoint pruning,
-memoized typing checks, incremental augmented queries, incremental table
-extension — must never change any answer.  This suite pins each of them
+memoized typing checks, incremental augmented queries, preselection-table
+row reuse — must never change any answer.  This suite pins each of them
 against its reference implementation on randomized seeded schemas from
 :mod:`repro.workloads.generators` (property-style: many seeds, exact
 comparisons).
 """
 
+import random
 from dataclasses import replace
 from itertools import product
 
@@ -36,8 +37,9 @@ from repro.expansion.compound import (
 )
 from repro.expansion.expansion import build_expansion, is_binding
 from repro.expansion.tables import build_tables
-from repro.reasoner.satisfiability import Reasoner
-from repro.workloads.generators import clustered_schema, random_schema
+from repro.reasoner.satisfiability import AUGMENTED_CACHE_LIMIT, Reasoner
+from repro.workloads.generators import (clustered_schema, hierarchy_schema,
+                                        random_schema)
 
 SEEDS = range(8)
 
@@ -199,6 +201,15 @@ class TestPruningEquivalence:
 # ----------------------------------------------------------------------
 # Strategy and incremental-augmented equivalence
 # ----------------------------------------------------------------------
+def assert_same_tables(tables, reference):
+    """Two preselection tables agree on every public fact."""
+    for name in sorted(reference.schema.class_symbols):
+        assert (tables.implied_literals(name)
+                == reference.implied_literals(name)), name
+    assert tables.empty_classes == reference.empty_classes
+    assert tables.disjoint_pairs == reference.disjoint_pairs
+
+
 def cross_cluster_formulas(schema: Schema) -> list[Formula]:
     names = sorted(schema.class_symbols)
     picked = [names[0], names[len(names) // 2], names[-1]]
@@ -230,37 +241,107 @@ class TestAugmentedEquivalence:
                          isa=next(iter(cross_cluster_formulas(schema))))
         seeded = base.augmented_with(probe)
         cold = Reasoner(schema.with_class(probe), config=EngineConfig(strategy="strategic"))
-        assert seeded._precomputed_classes is not None  # fast path engaged
+        assert seeded.pipeline.delta_stats["mode"] == "delta"  # reuse engaged
         assert (set(seeded.expansion.compound_classes)
                 == set(cold.expansion.compound_classes))
         for name in sorted(schema.class_symbols) + [probe.name]:
             assert seeded.is_satisfiable(name) == cold.is_satisfiable(name)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_extended_tables_match_full_rebuild(self, seed):
-        schema = random_schema(6, seed=seed)
-        base_tables = build_tables(schema)
-        reasoner = Reasoner(schema)
-        name = reasoner.fresh_class_name("Probe")
-        for formula in cross_cluster_formulas(schema):
-            augmented = schema.with_class(ClassDef(name, isa=formula))
-            extended = base_tables.extended_with(augmented, name)
-            rebuilt = build_tables(augmented)
-            assert extended._implied == rebuilt._implied
-            assert extended.empty_classes == rebuilt.empty_classes
-            assert extended.disjoint_pairs == rebuilt.disjoint_pairs
+    def test_attribute_and_participation_probes_match_cold(self, seed):
+        """The probes implication queries add (a class forcing a link, or
+        a participation) take the delta path and equal a cold build."""
+        schema = relational_schema(seed)
+        base = Reasoner(schema, config=EngineConfig(strategy="strategic"))
+        base.support
+        names = sorted(schema.class_symbols)
+        refs = sorted(schema.attribute_refs(), key=str)
+        probes = [ClassDef(base.fresh_class_name("QueryRole"),
+                           isa=Lit(names[0]) | Lit(names[-1]),
+                           participates=[Part("Rel", "v", Card(1, None))])]
+        if refs:
+            probes.append(ClassDef(
+                base.fresh_class_name("QueryLink"), isa=Lit(names[1]),
+                attributes=[Attr(refs[0], Card(1, None), ~Lit(names[2]))]))
+        for probe in probes:
+            seeded = base.augmented_with(probe)
+            cold = Reasoner(schema.with_class(probe),
+                            config=EngineConfig(strategy="strategic"))
+            assert seeded.pipeline.delta_stats["mode"] == "delta"
+            for kind in ("compound_classes", "compound_attributes",
+                         "compound_relations"):
+                mine, theirs = (getattr(r.expansion, kind)
+                                for r in (seeded, cold))
+                if isinstance(mine, dict):
+                    mine = {k: set(v) for k, v in mine.items() if v}
+                    theirs = {k: set(v) for k, v in theirs.items() if v}
+                else:
+                    mine, theirs = set(mine), set(theirs)
+                assert mine == theirs, kind
+            assert (set(seeded.supported_compound_classes())
+                    == set(cold.supported_compound_classes()))
+            for name in names + [probe.name]:
+                assert seeded.is_satisfiable(name) == cold.is_satisfiable(name)
 
-    def test_extended_with_rejects_existing_class(self):
-        schema = random_schema(4, seed=0)
-        tables = build_tables(schema)
-        name = sorted(schema.class_symbols)[0]
-        with pytest.raises(ValueError):
-            tables.extended_with(schema, name)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_extended_tables_match_full_rebuild(self, seed):
+        """Row reuse (``build_tables(previous=, changed=)``) equals a full
+        build, for an added query class and for added, changed and removed
+        definitions, each followed by a probe on the edited schema."""
+        from repro.engine.delta import SchemaDelta
+
+        from .test_delta import EDITS
+
+        rng = random.Random(seed)
+        for old in (random_schema(6, seed=seed),
+                    clustered_schema(3, 3, seed=seed),
+                    hierarchy_schema(2, 3, seed=seed)):
+            old_tables = build_tables(old)
+            for edit in EDITS:
+                new = edit(old, rng)
+                delta = SchemaDelta.between(old, new)
+                reused = build_tables(new, previous=old_tables,
+                                      changed=delta.changed_classes)
+                assert_same_tables(reused, build_tables(new))
+                name = Reasoner(new).fresh_class_name("Probe")
+                for formula in cross_cluster_formulas(new):
+                    probed = new.with_class(ClassDef(name, isa=formula))
+                    assert_same_tables(
+                        build_tables(probed, previous=reused),
+                        build_tables(probed))
+
+    def test_empty_class_row_is_recomputed_across_clusters(self):
+        """A provably empty class sits alone in ``G_S``, yet its row reads
+        other clusters' definitions: reusing rows per untouched cluster
+        would keep ``N1``'s stale ``not N6``.  Reuse goes by the closure."""
+        from repro.engine.delta import SchemaDelta
+        from repro.parser.parser import parse_schema
+
+        old = parse_schema(
+            "class Root isa N2 and not N6 endclass "
+            "class N1 isa not N2 and Root endclass "
+            "class N2 isa not N1 and Root endclass")
+        new = parse_schema(
+            "class Root isa N2 endclass "
+            "class N1 isa not N2 and Root endclass "
+            "class N2 isa not N1 and Root endclass")
+        old_tables = build_tables(old)
+        assert "N1" in old_tables.empty_classes
+        assert set(Reasoner(old).clusters()) == {
+            frozenset({"N1"}), frozenset({"N2", "Root"}),
+            frozenset({"N6"})}
+        assert frozenset({"N1"}) in Reasoner(new).clusters()
+        delta = SchemaDelta.between(old, new)
+        assert delta.changed_classes == {"Root"}
+        reused = build_tables(new, previous=old_tables,
+                              changed=delta.changed_classes)
+        assert Lit("N6", positive=False) not in reused.implied_literals("N1")
+        assert_same_tables(reused, build_tables(new))
 
     def test_verdict_cache_is_lru_bounded(self):
         schema = clustered_schema(2, 2, seed=3)
         reasoner = Reasoner(schema, config=EngineConfig(strategy="strategic"))
-        limit = reasoner.config.augmented_cache_limit
+        limit = AUGMENTED_CACHE_LIMIT
         names = sorted(schema.class_symbols)
         # Synthesize more distinct cross-cluster formulas than the cache
         # holds: (A_i ∧ B_j) over distinct cluster pairs, padded by repeats.

@@ -209,6 +209,31 @@ class TestDelete:
         assert SCHEMA_V1 not in registry.session
 
 
+class TestLiveVersionsStayWarm:
+    def test_pruning_a_live_fingerprint_keeps_the_session_entry(self):
+        session = SchemaSession()  # no artifact cache: only the LRU helps
+        registry = SchemaRegistry(session, RegistryConfig(
+            max_versions_per_schema=2))
+        registry.put("inv", SCHEMA_V1)
+        registry.put("inv", SCHEMA_V2)
+        registry.put("inv", SCHEMA_V1)  # v3 revives v1, and v1 is pruned
+        assert [v.version for v in registry.versions("inv")] == [2, 3]
+        assert SCHEMA_V1 in session
+        _, report = registry.put(
+            "inv", "class A isa B or C endclass class B endclass "
+                   "class C endclass")
+        assert report.mode == "delta"
+
+    def test_deleting_a_live_fingerprint_keeps_the_session_entry(self,
+                                                                 registry):
+        registry.put("inv", SCHEMA_V1)
+        registry.put("cat", SCHEMA_V1)
+        registry.delete("inv")
+        assert SCHEMA_V1 in registry.session
+        registry.delete("cat")
+        assert SCHEMA_V1 not in registry.session
+
+
 class TestConcurrency:
     def test_concurrent_puts_stay_monotonic(self):
         registry = SchemaRegistry(SchemaSession(), RegistryConfig(
