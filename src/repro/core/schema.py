@@ -364,6 +364,9 @@ class Schema:
             spec.ref.name for cdef in self._classes.values() for spec in cdef.attributes
         )
         self._check_alphabet_partition()
+        #: The canonical-form hash, stored by the first
+        #: :func:`~repro.engine.session.schema_fingerprint` call.
+        self._fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Validation

@@ -77,8 +77,11 @@ __all__ = [
 #: ``Expansion.strategy`` records the Phase-1 route that ran instead of
 #: the requested strategy; v6 stores the solved
 #: :class:`~repro.linear.support.SupportResult` itself, over the artifact's
-#: own ``system``, in place of the snapshot keyed by unknown.
-ARTIFACT_SCHEMA_VERSION = 6
+#: own ``system``, in place of the snapshot keyed by unknown; v7 leaves
+#: the expansion's lazily built endpoint indexes out of the pickle (a
+#: rehydrated expansion rebuilds them on first lookup), and the schema
+#: carries its stored fingerprint.
+ARTIFACT_SCHEMA_VERSION = 7
 
 #: Environment variable overriding the default artifact directory
 #: (useful for tests and hermetic CI runs).

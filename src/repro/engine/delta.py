@@ -51,12 +51,12 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 from ..core.schema import Schema
+from ..expansion.expansion import ExpansionSeed
 from ..linear.support import PinEvent, SupportResult, acceptable_support
 from ..linear.system import PsiSystem
 from ..obs.tracer import current_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..expansion.expansion import Expansion
     from .pipeline import Pipeline
 
 __all__ = [
@@ -212,19 +212,6 @@ class RevalidationReport:
 # Seeding a pipeline from (previous pipeline, delta)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class DeltaExpansionSeed:
-    """What the expansion stage needs for a partial rebuild: the merged
-    compound-class list, which of them were reused verbatim, the previous
-    expansion to copy rows from, and the relations that must re-enumerate
-    from scratch."""
-
-    classes: tuple[frozenset, ...]
-    reused: frozenset
-    old: "Expansion"
-    touched_relations: frozenset[str]
-
-
-@dataclass(frozen=True)
 class DeltaSupportSeed:
     """What the support stage needs to graft old verdicts: the previous
     solved support (over the previous system) and the compound classes
@@ -304,7 +291,7 @@ def seed_delta(pipeline: "Pipeline", prev: "Pipeline",
 
     pipeline._artifacts["tables"] = tables
     pipeline._clusters = new_clusters
-    pipeline._expansion_delta = DeltaExpansionSeed(
+    pipeline._expansion_seed = ExpansionSeed(
         classes=tuple(combined), reused=frozenset(reused),
         old=old_expansion, touched_relations=delta.touched_relations())
     previous_support = built.get("support")

@@ -494,10 +494,16 @@ class BatchExecutor:
         from .session import _as_schema, schema_fingerprint
 
         grouped: dict[str, tuple[str, list[tuple[int, Formula]]]] = {}
+        # One parse per distinct source text: queries repeat their schema.
+        parsed: dict[str, Schema] = {}
         for index, raw in enumerate(queries):
             try:
                 query = BatchQuery.coerce(raw)
-                schema = _as_schema(query.schema)
+                schema = query.schema
+                if isinstance(schema, str):
+                    if schema not in parsed:
+                        parsed[schema] = _as_schema(schema)
+                    schema = parsed[schema]
                 fingerprint = schema_fingerprint(schema)
             except CarError as exc:
                 outcomes[index] = QueryOutcome(

@@ -36,8 +36,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from ..core.schema import Schema
 from ..core.timing import StageTimer
-from ..expansion.expansion import (Expansion, build_expansion,
-                                   build_expansion_delta)
+from ..expansion.expansion import Expansion, build_expansion
 from ..expansion.tables import SchemaTables, build_tables
 from ..linear.support import SupportResult, acceptable_support
 from ..linear.system import PsiSystem, build_system
@@ -127,7 +126,7 @@ class Pipeline:
         # partial-expansion plan and an optional support-block graft, each
         # dropped once its stage has built, and the reuse accounting
         # surfaced in RevalidationReports.
-        self._expansion_delta = None
+        self._expansion_seed = None
         self._support_seed = None
         self.delta_stats: dict = {}
         # The query-rewriting closure (built on demand by closure_index).
@@ -148,7 +147,7 @@ class Pipeline:
         session's chain of versions stays one version deep.
         """
         if name == "expansion":
-            self._expansion_delta = None
+            self._expansion_seed = None
         elif name == "support":
             self._support_seed = None
         elif name == "system" and self.on_system_built is not None:
@@ -292,19 +291,15 @@ class Pipeline:
     @PipelineStage(_expansion_needs_tables)
     def expansion(self) -> Expansion:
         """The expansion ``S̄``: compound classes, attributes, relations,
-        and the merged ``Natt``/``Nrel`` entries."""
-        seed = self._expansion_delta
-        if seed is not None:
-            return build_expansion_delta(
-                self.schema, seed.classes, seed.reused, seed.old,
-                touched_relations=seed.touched_relations,
-                size_limit=self.config.size_limit)
+        and the merged ``Natt``/``Nrel`` entries (copying the rows of
+        untouched clusters when the delta path seeded it)."""
         tables = None
         if _expansion_needs_tables(self) is not None:
             tables = self.tables  # prebuilt by the prerequisite hook
         return build_expansion(
             self.schema, self.config.strategy,
-            size_limit=self.config.size_limit, tables=tables)
+            size_limit=self.config.size_limit, tables=tables,
+            seed=self._expansion_seed)
 
     @PipelineStage("expansion")
     def system(self) -> PsiSystem:

@@ -68,13 +68,22 @@ def schema_fingerprint(schema: SchemaLike) -> str:
     definitions therefore share a fingerprint regardless of definition
     order or the textual route they arrived by; structurally different
     schemas collide only with SHA-256 probability.
+
+    The hash is kept on the :class:`~repro.core.schema.Schema`, which
+    never changes after construction, so each schema object is rendered
+    and hashed once however many layers ask.
     """
     schema = _as_schema(schema)
-    canonical = Schema(
-        sorted(schema.class_definitions, key=lambda cdef: cdef.name),
-        sorted(schema.relation_definitions, key=lambda rdef: rdef.name))
-    return hashlib.sha256(
-        render_schema(canonical).encode("utf-8")).hexdigest()
+    # Schemas unpickled from older payloads carry no stored hash.
+    fingerprint = getattr(schema, "_fingerprint", None)
+    if fingerprint is None:
+        canonical = Schema(
+            sorted(schema.class_definitions, key=lambda cdef: cdef.name),
+            sorted(schema.relation_definitions, key=lambda rdef: rdef.name))
+        fingerprint = hashlib.sha256(
+            render_schema(canonical).encode("utf-8")).hexdigest()
+        schema._fingerprint = fingerprint
+    return fingerprint
 
 
 def _fingerprint_of(schema: SchemaLike) -> str:

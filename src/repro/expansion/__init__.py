@@ -16,7 +16,7 @@ from .enumerate import (
     naive_compound_classes,
     strategic_compound_classes,
 )
-from .expansion import Expansion, build_expansion
+from .expansion import Expansion, ExpansionSeed, build_expansion
 from .graph import (
     clusters,
     hierarchy_compound_classes,
@@ -33,7 +33,7 @@ __all__ = [
     "merged_participation_card",
     "compound_classes", "dpll_compound_classes", "naive_compound_classes",
     "strategic_compound_classes",
-    "Expansion", "build_expansion",
+    "Expansion", "ExpansionSeed", "build_expansion",
     "clusters", "hierarchy_compound_classes", "hierarchy_forest",
     "impose_cluster_disjointness", "schema_graph",
     "SchemaTables", "build_tables",

@@ -13,29 +13,41 @@ upper bound).  Such compound objects occur in no disequation of ``Ψ_S``, so
 they can always be interpreted freely; set ``include_unconstrained=True`` to
 build Definition 3.1 verbatim, which the unit tests do on small schemas.
 
+One builder, :func:`build_expansion`, serves cold and incremental builds.
+Under the cluster decomposition of Theorem 4.6 a cold build is an
+incremental one in which nothing is reused: an :class:`ExpansionSeed`
+(planned by :func:`repro.engine.delta.seed_delta` for registry edits and
+augmented queries) supplies the compound classes and names the members
+whose rows and compound objects are copied from the previous expansion.
+
 Two throughput devices shape this module:
 
 * **Binding-endpoint pruning** — instead of filtering the full Cartesian
   candidate space ``classes × classes`` (resp. ``classes^arity``), the
   builder precomputes the compound classes carrying a *binding* ``Natt`` /
-  ``Nrel`` entry per attribute reference / relation role and enumerates only
-  ``binding_left × classes ∪ classes × binding_right`` (resp. the per-role
-  first-binding-position decomposition) — exactly the candidates the default
-  filter would keep.
+  ``Nrel`` entry per attribute reference / relation role and enumerates
+  only the candidates with a binding member, split by their first binding
+  position: ``binding_left × classes ∪ (classes ∖ binding_left) ×
+  binding_right`` for an attribute — exactly the candidates the default
+  filter would keep.  An incremental build splits each part again by the
+  first fresh (not reused) position, so it probes only candidates with a
+  fresh endpoint; with nothing reused this is the cold split.
 * **Endpoint indexes** — :meth:`Expansion.attributes_with_left`,
   :meth:`Expansion.attributes_with_right`, and
   :meth:`Expansion.relations_with_role` answer from prebuilt
   ``(symbol, endpoint) → tuple`` dictionaries instead of scanning the
   compound-object lists, which keeps the ``Ψ_S`` build linear in the number
-  of summands instead of quadratic.  ``dataclasses.replace(expansion,
+  of summands instead of quadratic.  They are a cache: built on first
+  lookup, left out of pickles.  ``dataclasses.replace(expansion,
   indexed=False)`` restores the linear scans for the ablation benchmarks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
-from typing import Optional, Sequence
+from typing import AbstractSet, Optional, Sequence
 
 from ..core.budget import current_budget
 from ..core.cardinality import Card, INFINITY
@@ -52,8 +64,7 @@ from .compound import (
 )
 from .enumerate import routed_compound_classes
 
-__all__ = ["Expansion", "build_expansion", "build_expansion_delta",
-           "is_binding"]
+__all__ = ["Expansion", "ExpansionSeed", "build_expansion", "is_binding"]
 
 
 def is_binding(card: Card) -> bool:
@@ -69,7 +80,7 @@ class Expansion:
 
     ``strategy`` is the Phase-1 route that produced the compound classes:
     ``"naive"``, ``"strategic"`` or ``"hierarchy"`` (the §4.4 closed
-    form), never the requested ``"auto"``; delta rebuilds, which reuse
+    form), never the requested ``"auto"``; seeded builds, which reuse
     the classes of a previous enumeration, record ``"strategic"``.
     ``indexed`` controls the endpoint-lookup
     implementation: prebuilt dictionaries (default) versus the legacy
@@ -85,8 +96,14 @@ class Expansion:
     nrel: dict[tuple[frozenset, str, str], Card]
     strategy: str = "strategic"
     indexed: bool = True
-    #: Lazily built endpoint indexes (not part of equality/representation).
+    #: Lazily built endpoint indexes (not part of equality/representation,
+    #: nor of the pickled state).
     _indexes: Optional[dict] = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        # The indexes are a cache a rehydrated expansion rebuilds on its
+        # first lookup; pickling them only grows every stored artifact.
+        return {**self.__dict__, "_indexes": None}
 
     def size(self) -> int:
         """Total number of compound objects (the paper's expansion size)."""
@@ -201,10 +218,28 @@ class _SizeBudget:
                 f"{self.count} compound objects > {self.limit}")
 
 
+@dataclass(frozen=True)
+class ExpansionSeed:
+    """The reuse plan of an incremental :func:`build_expansion`.
+
+    ``classes`` is the full (merged) compound-class list; members of
+    ``reused`` come verbatim from ``old``, the previous version's
+    expansion — clusters the delta planner
+    (:func:`repro.engine.delta.seed_delta`) proved untouched.
+    ``touched_relations`` names the relations whose definitions changed.
+    """
+
+    classes: tuple[frozenset, ...]
+    reused: frozenset
+    old: Expansion
+    touched_relations: frozenset[str] = frozenset()
+
+
 def build_expansion(schema: Schema, strategy: str = "auto", *,
                     include_unconstrained: bool = False,
                     size_limit: Optional[int] = None,
-                    tables=None) -> Expansion:
+                    tables=None,
+                    seed: Optional[ExpansionSeed] = None) -> Expansion:
     """Build the expansion of ``schema``.
 
     Parameters
@@ -218,18 +253,41 @@ def build_expansion(schema: Schema, strategy: str = "auto", *,
     size_limit:
         Abort with :class:`ReasoningError` when the cumulative number of
         compound objects (classes + attributes + relations) would exceed
-        this bound — a guard for adversarial schemas.
+        this bound — a guard for adversarial schemas.  Objects copied from
+        a seed are charged too, so the guard trips on the same totals a
+        build without one would.
     tables:
         Optional prebuilt :class:`~repro.expansion.tables.SchemaTables`,
         reused by the strategic enumeration instead of running the
         preselection pass again.
+    seed:
+        Optional :class:`ExpansionSeed`: build from a previous version's
+        expansion.  ``seed.classes`` replaces the enumeration, and the
+        result records the route ``"strategic"`` (the classes come per
+        cluster).  For the members of ``seed.reused`` the ``Natt``/``Nrel``
+        rows, and the compound attributes/relations with *every* endpoint
+        reused, are copied from ``seed.old`` instead of being re-derived:
+        both are functions of the member definitions alone, which the
+        planner guarantees unchanged.  Only candidates with at least one
+        fresh endpoint are probed, via a fresh-restricted refinement of
+        the binding-endpoint decomposition, so each relevant new candidate
+        is generated exactly once.  Relations in
+        ``seed.touched_relations`` re-enumerate from scratch —
+        compound-relation consistency reads the relation definition, so
+        their old rows are not trustworthy even between reused endpoints.
+        A cold build is the same build with nothing reused: with an empty
+        ``seed.reused`` the candidates are the cold build's, in the same
+        order.  ``seed.old`` must come from the same
+        ``include_unconstrained`` setting.
 
     The ambient tracer receives the enumeration counters
-    (``expansion.compound_classes``, the DPLL search counters) and the
-    builder counters (``expansion.candidates_examined`` /
-    ``expansion.candidates_pruned`` against the full Cartesian space,
-    ``expansion.memo_hits`` / ``expansion.memo_misses`` of the typing
-    memos).
+    (``expansion.compound_classes``, the DPLL search counters), a seed's
+    ``expansion.delta_reused_classes`` / ``expansion.delta_fresh_classes``,
+    and the builder counters: ``expansion.candidates_examined`` (probed),
+    ``expansion.candidates_copied`` (taken from the seed) and
+    ``expansion.candidates_pruned`` (the rest of the full Cartesian
+    products), plus ``expansion.memo_hits`` / ``expansion.memo_misses`` of
+    the typing memos.
 
     The candidate loops (and the per-class ``Natt``/``Nrel`` merges) tick
     the ambient :class:`~repro.core.budget.Budget`, so a deadline or step
@@ -237,37 +295,82 @@ def build_expansion(schema: Schema, strategy: str = "auto", *,
     :class:`~repro.core.errors.BudgetExceeded` — the cooperative analogue
     of the ``size_limit`` memory guard.
     """
-    tick = current_budget().tick
     budget = _SizeBudget(size_limit)
-    route, enumerated = routed_compound_classes(schema, strategy,
-                                                tables=tables)
-    classes = tuple(enumerated)
+    if seed is None:
+        route, enumerated = routed_compound_classes(schema, strategy,
+                                                    tables=tables)
+        classes, reused, old = tuple(enumerated), frozenset(), None
+        touched: frozenset[str] = frozenset()
+    else:
+        route, classes = "strategic", seed.classes
+        reused, old, touched = seed.reused, seed.old, seed.touched_relations
+        tracer = current_tracer()
+        tracer.add("expansion.delta_reused_classes", len(reused))
+        tracer.add("expansion.delta_fresh_classes",
+                   len(classes) - len(reused))
     budget.charge(len(classes), "compound classes")
 
-    natt: dict[tuple[frozenset, AttrRef], Card] = {}
-    for members in classes:
-        tick()
-        for ref in schema.attribute_refs():
-            merged = merged_attr_card(schema, members, ref)
-            if merged is not None:
-                natt[(members, ref)] = merged
-
-    nrel: dict[tuple[frozenset, str, str], Card] = {}
+    natt = _merged_rows(classes, reused, old.natt if old else {},
+                        [(ref,) for ref in schema.attribute_refs()],
+                        partial(merged_attr_card, schema))
     participation_keys = {
         (spec.relation, spec.role)
         for cdef in schema.class_definitions for spec in cdef.participates
     }
-    for members in classes:
-        tick()
-        for relation, role in participation_keys:
-            merged = merged_participation_card(schema, members, relation, role)
-            if merged is not None:
-                nrel[(members, relation, role)] = merged
+    nrel = _merged_rows(classes, reused, old.nrel if old else {},
+                        list(participation_keys),
+                        partial(merged_participation_card, schema))
 
-    compound_attributes = _build_compound_attributes(
-        schema, classes, natt, include_unconstrained, budget)
-    compound_relations = _build_compound_relations(
-        schema, classes, nrel, include_unconstrained, budget)
+    # With nothing reused every candidate is fresh: no refinement.
+    fresh = frozenset(classes) - reused if reused else None
+    tick = current_budget().tick
+    tally = _Tally()
+    compound_attributes: dict[str, tuple[CompoundAttribute, ...]] = {}
+    for attr in sorted(schema.attribute_symbols):
+        typing = AttributeTyping(schema, attr)
+        binding = [{members for members in classes
+                    if include_unconstrained
+                    or is_binding(natt.get((members, ref), _FREE))}
+                   for ref in (AttrRef(attr), AttrRef(attr, inverse=True))]
+        found = [ca for ca in old.compound_attributes.get(attr, ())
+                 if ca.left in reused and ca.right in reused
+                 ] if fresh is not None else []
+        budget.charge(len(found), f"attribute {attr}")
+        copied, probed = len(found), 0
+        for left, right in _candidates(classes, binding, fresh):
+            tick()
+            probed += 1
+            if typing.consistent(left, right):
+                found.append(CompoundAttribute(attr, left, right))
+                budget.charge(1, f"attribute {attr}")
+        compound_attributes[attr] = tuple(found)
+        tally.add(typing, probed, copied, len(classes) ** 2)
+
+    compound_relations: dict[str, tuple[CompoundRelation, ...]] = {}
+    for rdef in schema.relation_definitions:
+        typing = RelationTyping(schema, rdef.name)
+        roles = rdef.roles
+        binding = [{members for members in classes
+                    if include_unconstrained
+                    or is_binding(nrel.get((members, rdef.name, role), _FREE))}
+                   for role in roles]
+        refine = fresh if rdef.name not in touched else None
+        found = [cr for cr in old.compound_relations.get(rdef.name, ())
+                 if all(members in reused for _, members in cr.assignment)
+                 ] if refine is not None else []
+        budget.charge(len(found), f"relation {rdef.name}")
+        copied, probed = len(found), 0
+        for combo in _candidates(classes, binding, refine):
+            tick()
+            probed += 1
+            assignment = dict(zip(roles, combo))
+            if typing.consistent(assignment):
+                found.append(CompoundRelation(rdef.name, assignment))
+                budget.charge(1, f"relation {rdef.name}")
+        compound_relations[rdef.name] = tuple(found)
+        tally.add(typing, probed, copied, len(classes) ** rdef.arity)
+    if compound_attributes or compound_relations:
+        tally.report()
 
     return Expansion(
         schema=schema,
@@ -280,336 +383,90 @@ def build_expansion(schema: Schema, strategy: str = "auto", *,
     )
 
 
-def build_expansion_delta(schema: Schema, classes: Sequence[frozenset],
-                          reused: frozenset, old: Expansion, *,
-                          touched_relations: frozenset = frozenset(),
-                          size_limit: Optional[int] = None) -> Expansion:
-    """Build the expansion of ``schema`` reusing rows of a previous one.
-
-    ``classes`` is the full (merged) compound-class list; members of
-    ``reused`` come verbatim from ``old`` — clusters the delta planner
-    (:func:`repro.engine.delta.seed_delta`) proved untouched.  For those,
-    the ``Natt``/``Nrel`` entries and the compound attributes/relations
-    with *every* endpoint reused are copied from ``old`` instead of being
-    re-derived: both are functions of the member definitions alone, which
-    the planner guarantees unchanged.  Only candidates with at least one
-    fresh endpoint are probed, via a fresh-restricted refinement of the
-    binding-endpoint decomposition, so each relevant new candidate is
-    generated exactly once.  Relations in ``touched_relations`` (their
-    definition changed) re-enumerate from scratch — compound-relation
-    consistency reads the relation definition, so their old rows are not
-    trustworthy even between reused endpoints.  The result records the
-    route ``"strategic"``: the classes come per cluster.
-
-    The ``size_limit`` accounting matches :func:`build_expansion`: reused
-    objects are charged too, so the guard trips on the same totals a cold
-    build would.
-    """
+def _merged_rows(classes: Sequence[frozenset], reused: frozenset,
+                 old_rows: dict, keys: Sequence[tuple], merge) -> dict:
+    """The ``Natt`` (or ``Nrel``) rows of ``classes``, keyed
+    ``(members, *key)``: copied from ``old_rows`` for reused members,
+    merged from the member definitions (``merge(members, *key)``, None
+    when no member constrains ``key``) for the others."""
     tick = current_budget().tick
-    budget = _SizeBudget(size_limit)
-    classes = tuple(classes)
-    budget.charge(len(classes), "compound classes")
-    tracer = current_tracer()
-    tracer.add("expansion.delta_reused_classes", len(reused))
-    tracer.add("expansion.delta_fresh_classes", len(classes) - len(reused))
-
-    # Natt/Nrel rows: copy for reused members, merge for fresh ones.
-    old_natt_by_members: dict[frozenset, list] = {}
-    for (members, ref), card in old.natt.items():
-        old_natt_by_members.setdefault(members, []).append((ref, card))
-    natt: dict[tuple[frozenset, AttrRef], Card] = {}
-    refs = schema.attribute_refs()
+    copied: dict[frozenset, list] = {}
+    if reused:
+        for key, card in old_rows.items():
+            if key[0] in reused:
+                copied.setdefault(key[0], []).append((key, card))
+    rows: dict = {}
     for members in classes:
         tick()
         if members in reused:
-            for ref, card in old_natt_by_members.get(members, ()):
-                natt[(members, ref)] = card
+            for key, card in copied.get(members, ()):
+                rows[key] = card
             continue
-        for ref in refs:
-            merged = merged_attr_card(schema, members, ref)
+        for key in keys:
+            merged = merge(members, *key)
             if merged is not None:
-                natt[(members, ref)] = merged
-
-    old_nrel_by_members: dict[frozenset, list] = {}
-    for (members, relation, role), card in old.nrel.items():
-        old_nrel_by_members.setdefault(members, []).append(
-            (relation, role, card))
-    nrel: dict[tuple[frozenset, str, str], Card] = {}
-    participation_keys = {
-        (spec.relation, spec.role)
-        for cdef in schema.class_definitions for spec in cdef.participates
-    }
-    for members in classes:
-        tick()
-        if members in reused:
-            for relation, role, card in old_nrel_by_members.get(members, ()):
-                nrel[(members, relation, role)] = card
-            continue
-        for relation, role in participation_keys:
-            merged = merged_participation_card(schema, members, relation, role)
-            if merged is not None:
-                nrel[(members, relation, role)] = merged
-
-    compound_attributes = _delta_compound_attributes(
-        schema, classes, reused, old, natt, budget)
-    compound_relations = _delta_compound_relations(
-        schema, classes, reused, old, nrel, touched_relations, budget)
-
-    return Expansion(
-        schema=schema,
-        compound_classes=classes,
-        compound_attributes=compound_attributes,
-        compound_relations=compound_relations,
-        natt=natt,
-        nrel=nrel,
-    )
+                rows[(members, *key)] = merged
+    return rows
 
 
-def _delta_compound_attributes(schema: Schema, classes: Sequence[frozenset],
-                               reused: frozenset, old: Expansion, natt,
-                               budget: _SizeBudget
-                               ) -> dict[str, tuple[CompoundAttribute, ...]]:
-    """Per attribute: copy old compound attributes between reused
-    endpoints, probe only the candidates with a fresh endpoint.
+def _candidates(classes: Sequence[frozenset], binding: Sequence[set],
+                fresh: Optional[frozenset]):
+    """Each relevant candidate tuple exactly once, lazily.
 
-    The fresh-restricted decomposition partitions the relevant candidates
-    ``BL × ALL ∪ (ALL∖BL) × BR`` that have at least one fresh endpoint:
-    ``BL∩F × ALL``, ``BL∩R × F``, ``(ALL∖BL)∩F × BR``, and
-    ``(ALL∖BL)∩R × BR∩F`` (R = reused, F = fresh) — every such pair is
-    generated exactly once.
+    ``binding[p]`` holds the compound classes with a binding entry at
+    position ``p`` (an attribute's source and target, a relation's roles);
+    only candidates with a binding member somewhere yield a disequation.
+    They are split by their first binding position, which skips the rest
+    of the Cartesian product without a filter pass over it.  With
+    ``fresh`` given, each part is split again by its first fresh position,
+    so only candidates with a fresh member emerge — the others were
+    copied.
     """
-    result: dict[str, tuple[CompoundAttribute, ...]] = {}
-    tick = current_budget().tick
-    copied = 0
-    probed_total = 0
-    for attr in sorted(schema.attribute_symbols):
-        direct = AttrRef(attr)
-        inverse = AttrRef(attr, inverse=True)
-        typing = AttributeTyping(schema, attr)
-        binding_left = [members for members in classes
-                        if is_binding(natt.get((members, direct), _FREE))]
-        binding_right = [members for members in classes
-                         if is_binding(natt.get((members, inverse), _FREE))]
-        left_set = set(binding_left)
-        rest = [members for members in classes if members not in left_set]
-        bl_fresh = [m for m in binding_left if m not in reused]
-        bl_reused = [m for m in binding_left if m in reused]
-        fresh = [m for m in classes if m not in reused]
-        rest_fresh = [m for m in rest if m not in reused]
-        rest_reused = [m for m in rest if m in reused]
-        br_fresh = [m for m in binding_right if m not in reused]
-        candidates = _chain_products(
-            (bl_fresh, classes), (bl_reused, fresh),
-            (rest_fresh, binding_right), (rest_reused, br_fresh))
+    arity = len(binding)
+    for pools in _by_first([classes] * arity, binding):
+        parts = (pools,) if fresh is None else _by_first(pools,
+                                                         [fresh] * arity)
+        for part in parts:
+            if all(part):
+                yield from product(*part)
 
-        found = [ca for ca in old.compound_attributes.get(attr, ())
-                 if ca.left in reused and ca.right in reused]
-        budget.charge(len(found), f"attribute {attr}")
-        copied += len(found)
-        for left, right in candidates:
-            tick()
-            probed_total += 1
-            if typing.consistent(left, right):
-                found.append(CompoundAttribute(attr, left, right))
-                budget.charge(1, f"attribute {attr}")
-        result[attr] = tuple(found)
-    if schema.attribute_symbols:
+
+def _by_first(pools: list[Sequence], marked: Sequence[AbstractSet]):
+    """Split the tuples of ``product(*pools)`` that hold a marked member
+    by their first marked position ``q``: positions before ``q`` draw from
+    their pool's unmarked members, ``q`` from its marked ones, later
+    positions from the whole pool.  Each such tuple lies in exactly one
+    part, and part and member order follow the pools."""
+    for q in range(len(pools)):
+        yield ([[m for m in pools[i] if m not in marked[i]] for i in range(q)]
+               + [[m for m in pools[q] if m in marked[q]]]
+               + pools[q + 1:])
+
+
+class _Tally:
+    """The builder counters, summed over every attribute and relation and
+    reported together: examined + copied + pruned is the full Cartesian
+    count."""
+
+    __slots__ = ("examined", "copied", "cartesian", "memo_hits",
+                 "memo_misses")
+
+    def __init__(self):
+        self.examined = self.copied = self.cartesian = 0
+        self.memo_hits = self.memo_misses = 0
+
+    def add(self, typing, examined: int, copied: int, cartesian: int) -> None:
+        self.examined += examined
+        self.copied += copied
+        self.cartesian += cartesian
+        self.memo_hits += typing.memo_hits
+        self.memo_misses += typing.memo_misses
+
+    def report(self) -> None:
         tracer = current_tracer()
-        tracer.add("expansion.delta_attributes_copied", copied)
-        tracer.add("expansion.candidates_examined", probed_total)
-    return result
-
-
-def _delta_compound_relations(schema: Schema, classes: Sequence[frozenset],
-                              reused: frozenset, old: Expansion, nrel,
-                              touched_relations: frozenset,
-                              budget: _SizeBudget
-                              ) -> dict[str, tuple[CompoundRelation, ...]]:
-    """Per relation: untouched relation definitions copy their compound
-    relations between all-reused assignments and probe only tuples with a
-    fresh member (each binding-position pool refined by the first fresh
-    position); touched relations re-enumerate from scratch."""
-    result: dict[str, tuple[CompoundRelation, ...]] = {}
-    tick = current_budget().tick
-    copied = 0
-    probed_total = 0
-    for rdef in schema.relation_definitions:
-        typing = RelationTyping(schema, rdef.name)
-        roles = rdef.roles
-        binding = {
-            role: [members for members in classes
-                   if is_binding(nrel.get((members, rdef.name, role), _FREE))]
-            for role in roles
-        }
-        nonbinding = {
-            role: [members for members in classes
-                   if not is_binding(nrel.get((members, rdef.name, role),
-                                              _FREE))]
-            for role in roles
-        }
-        base_pools = []
-        for position, role in enumerate(roles):
-            pools = ([nonbinding[r] for r in roles[:position]]
-                     + [binding[role]]
-                     + [list(classes) for _ in roles[position + 1:]])
-            base_pools.append(pools)
-
-        retouch = rdef.name in touched_relations
-        if retouch:
-            candidate_pools = [tuple(pools) for pools in base_pools]
-            found: list[CompoundRelation] = []
-        else:
-            # Refine each binding-position pool tuple by the first fresh
-            # position, so only assignments with >=1 fresh member emerge.
-            candidate_pools = []
-            for pools in base_pools:
-                for position in range(len(pools)):
-                    refined = (
-                        [[m for m in pool if m in reused]
-                         for pool in pools[:position]]
-                        + [[m for m in pools[position] if m not in reused]]
-                        + [list(pool) for pool in pools[position + 1:]])
-                    candidate_pools.append(tuple(refined))
-            found = [cr for cr in old.compound_relations.get(rdef.name, ())
-                     if all(members in reused
-                            for _, members in cr.assignment)]
-            budget.charge(len(found), f"relation {rdef.name}")
-            copied += len(found)
-
-        for pools in candidate_pools:
-            if any(not pool for pool in pools):
-                continue
-            for combo in product(*pools):
-                tick()
-                probed_total += 1
-                assignment = dict(zip(roles, combo))
-                if typing.consistent(assignment):
-                    found.append(CompoundRelation(rdef.name, assignment))
-                    budget.charge(1, f"relation {rdef.name}")
-        result[rdef.name] = tuple(found)
-    if schema.relation_definitions:
-        tracer = current_tracer()
-        tracer.add("expansion.delta_relations_copied", copied)
-        tracer.add("expansion.candidates_examined", probed_total)
-    return result
-
-
-def _build_compound_attributes(schema: Schema, classes: Sequence[frozenset],
-                               natt, include_unconstrained: bool,
-                               budget: _SizeBudget
-                               ) -> dict[str, tuple[CompoundAttribute, ...]]:
-    result: dict[str, tuple[CompoundAttribute, ...]] = {}
-    tick = current_budget().tick
-    examined = 0
-    cartesian = 0
-    memo_hits = 0
-    memo_misses = 0
-    for attr in sorted(schema.attribute_symbols):
-        direct = AttrRef(attr)
-        inverse = AttrRef(attr, inverse=True)
-        typing = AttributeTyping(schema, attr)
-        if include_unconstrained:
-            candidates = product(classes, classes)
-        else:
-            # Only pairs with a binding endpoint yield a disequation:
-            # binding_left × classes ∪ (classes ∖ binding_left) × binding_right
-            # partitions exactly the relevant candidates, skipping the rest
-            # of the Cartesian product without a filter pass over it.
-            binding_left = [members for members in classes
-                            if is_binding(natt.get((members, direct), _FREE))]
-            binding_right = [members for members in classes
-                             if is_binding(natt.get((members, inverse), _FREE))]
-            left_set = set(binding_left)
-            rest = [members for members in classes if members not in left_set]
-            candidates = _chain_products(
-                (binding_left, classes), (rest, binding_right))
-        found: list[CompoundAttribute] = []
-        probed = 0
-        for left, right in candidates:
-            tick()
-            probed += 1
-            if typing.consistent(left, right):
-                found.append(CompoundAttribute(attr, left, right))
-                budget.charge(1, f"attribute {attr}")
-        result[attr] = tuple(found)
-        examined += probed
-        cartesian += len(classes) ** 2
-        memo_hits += typing.memo_hits
-        memo_misses += typing.memo_misses
-    if schema.attribute_symbols:
-        tracer = current_tracer()
-        tracer.add("expansion.candidates_examined", examined)
-        tracer.add("expansion.candidates_pruned", cartesian - examined)
-        tracer.add("expansion.memo_hits", memo_hits)
-        tracer.add("expansion.memo_misses", memo_misses)
-    return result
-
-
-def _chain_products(*pools: tuple[Sequence, Sequence]):
-    for lefts, rights in pools:
-        if lefts and rights:
-            yield from product(lefts, rights)
-
-
-def _build_compound_relations(schema: Schema, classes: Sequence[frozenset],
-                              nrel, include_unconstrained: bool,
-                              budget: _SizeBudget
-                              ) -> dict[str, tuple[CompoundRelation, ...]]:
-    result: dict[str, tuple[CompoundRelation, ...]] = {}
-    tick = current_budget().tick
-    examined = 0
-    cartesian = 0
-    memo_hits = 0
-    memo_misses = 0
-    for rdef in schema.relation_definitions:
-        typing = RelationTyping(schema, rdef.name)
-        roles = rdef.roles
-        if include_unconstrained:
-            candidate_pools = [tuple([classes] * rdef.arity)]
-        else:
-            # Partition the relevant candidates by the *first* role position
-            # carrying a binding Nrel member: positions before it draw from
-            # the non-binding members, the position itself from the binding
-            # ones, later positions from everything.  Each relevant tuple is
-            # generated exactly once.
-            binding = {
-                role: [members for members in classes
-                       if is_binding(nrel.get((members, rdef.name, role), _FREE))]
-                for role in roles
-            }
-            nonbinding = {
-                role: [members for members in classes
-                       if not is_binding(nrel.get((members, rdef.name, role),
-                                                  _FREE))]
-                for role in roles
-            }
-            candidate_pools = []
-            for position, role in enumerate(roles):
-                pools = ([nonbinding[r] for r in roles[:position]]
-                         + [binding[role]]
-                         + [list(classes) for _ in roles[position + 1:]])
-                candidate_pools.append(tuple(pools))
-        found: list[CompoundRelation] = []
-        probed = 0
-        for pools in candidate_pools:
-            if any(not pool for pool in pools):
-                continue
-            for combo in product(*pools):
-                tick()
-                probed += 1
-                assignment = dict(zip(roles, combo))
-                if typing.consistent(assignment):
-                    found.append(CompoundRelation(rdef.name, assignment))
-                    budget.charge(1, f"relation {rdef.name}")
-        result[rdef.name] = tuple(found)
-        examined += probed
-        cartesian += len(classes) ** rdef.arity
-        memo_hits += typing.memo_hits
-        memo_misses += typing.memo_misses
-    if schema.relation_definitions:
-        tracer = current_tracer()
-        tracer.add("expansion.candidates_examined", examined)
-        tracer.add("expansion.candidates_pruned", cartesian - examined)
-        tracer.add("expansion.memo_hits", memo_hits)
-        tracer.add("expansion.memo_misses", memo_misses)
-    return result
+        tracer.add("expansion.candidates_examined", self.examined)
+        tracer.add("expansion.candidates_copied", self.copied)
+        tracer.add("expansion.candidates_pruned",
+                   self.cartesian - self.examined - self.copied)
+        tracer.add("expansion.memo_hits", self.memo_hits)
+        tracer.add("expansion.memo_misses", self.memo_misses)

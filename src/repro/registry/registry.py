@@ -42,6 +42,7 @@ from ..core.errors import (RegistryError, RegistryNotFound,
 from ..engine.config import EngineConfig
 from ..engine.session import SchemaSession, schema_fingerprint
 from ..obs.tracer import current_tracer
+from ..parser.parser import parse_schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.delta import RevalidationReport
@@ -176,7 +177,10 @@ class SchemaRegistry:
         try:
             # Revalidate outside the lock: parsing + delta rebuild are the
             # expensive part, and puts of other schemas need not wait.
-            fingerprint = schema_fingerprint(source)
+            # The parsed schema goes to the session, which reads the
+            # fingerprint stored on it instead of parsing and hashing again.
+            schema = parse_schema(source)
+            fingerprint = schema_fingerprint(schema)
             if prev is not None and prev.fingerprint == fingerprint:
                 from ..engine.delta import RevalidationReport
 
@@ -185,7 +189,7 @@ class SchemaRegistry:
                     mode="unchanged", fingerprint_old=prev.fingerprint,
                     fingerprint_new=fingerprint)
             _, report = self.session.update(
-                prev.fingerprint if prev is not None else None, source)
+                prev.fingerprint if prev is not None else None, schema)
         finally:
             with self._lock:
                 self._inflight[tenant] -= 1

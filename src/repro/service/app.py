@@ -771,12 +771,12 @@ class ReproService:
                   request_id: str) -> ServiceResponse:
         """``POST /v1/classify`` — the implied subsumption hierarchy
         (``schema`` source inline, or a registry ``schema_ref``)."""
-        schema_source = self._schema_source(document)
+        _, schema = self._memo_schema(self._schema_source(document))
         budget = (Budget(deadline, max_steps)
                   if deadline is not None or max_steps is not None
                   else None)
         with use_budget(budget):
-            classification = self.session.classify(schema_source)
+            classification = self.session.classify(schema)
         return self._ok(200, request_id, {
             "subsumptions": sorted(map(list,
                                        classification.subsumptions)),

@@ -74,6 +74,46 @@ class TestCompiledSchema:
         assert clone.expansion.compound_classes == \
             artifact.expansion.compound_classes
 
+    @pytest.mark.parametrize("shape", ["taxonomy", "attributes"])
+    def test_pickle_leaves_out_the_endpoint_indexes(self, shape):
+        """The expansion's endpoint indexes are a cache: the pickle holds
+        none, the rehydrated expansion rebuilds them on first lookup, and
+        the rehydrated pipeline answers like a fresh one."""
+        from repro.core.formulas import Lit
+        from repro.workloads.generators import hierarchy_schema
+        from repro.workloads.query_workloads import taxonomy_schema
+
+        schema = (taxonomy_schema(3, 1) if shape == "taxonomy" else
+                  hierarchy_schema(3, 2, with_attributes=True, seed=3))
+        pipeline = Pipeline(schema)
+        expansion = pipeline.expansion
+        _ = pipeline.system  # the Ψ_S build fills the indexes
+        assert expansion._indexes is not None
+        clone = pickle.loads(pickle.dumps(pipeline.compile()))
+        assert clone.expansion._indexes is None
+        assert expansion._indexes is not None
+        for attr, compounds in expansion.compound_attributes.items():
+            for ca in compounds:
+                assert (clone.expansion.attributes_with_left(attr, ca.left)
+                        == expansion.attributes_with_left(attr, ca.left))
+                assert (clone.expansion.attributes_with_right(attr, ca.right)
+                        == expansion.attributes_with_right(attr, ca.right))
+        for relation, compounds in expansion.compound_relations.items():
+            for cr in compounds:
+                for role, members in cr.assignment:
+                    assert (clone.expansion.relations_with_role(
+                                relation, role, members)
+                            == expansion.relations_with_role(
+                                relation, role, members))
+        rehydrated = Reasoner.from_pipeline(Pipeline.from_artifact(clone))
+        fresh = Reasoner(schema)
+        names = sorted(schema.class_symbols)
+        assert ([rehydrated.is_satisfiable(name) for name in names]
+                == [fresh.is_satisfiable(name) for name in names])
+        formula = Lit(names[1]) & Lit(names[-1])
+        assert (rehydrated.is_formula_satisfiable(formula)
+                == fresh.is_formula_satisfiable(formula))
+
     def test_rehydrated_system_is_integer(self, tmp_path):
         """Ψ_S stays integer through the cache: every coefficient of a
         rehydrated system is an ``int``."""

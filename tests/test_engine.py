@@ -253,6 +253,23 @@ class TestFingerprint:
         assert (schema_fingerprint(schema)
                 == schema_fingerprint(parse_schema(render_schema(schema))))
 
+    def test_hash_is_stored_on_the_schema(self, count_calls):
+        """A schema is rendered and hashed once; one pickled without the
+        stored hash (an older payload) is hashed on demand."""
+        import pickle
+
+        from repro.parser.printer import render_schema
+
+        schema = parse_schema(GOOD_SOURCE)
+        renders = count_calls(render_schema)
+        fingerprint = schema_fingerprint(schema)
+        assert schema_fingerprint(schema) == fingerprint
+        assert len(renders) == 1
+        older = pickle.loads(pickle.dumps(schema))
+        del older.__dict__["_fingerprint"]
+        assert schema_fingerprint(older) == fingerprint
+        assert len(renders) == 2
+
 
 class TestSchemaSession:
     def test_cache_hit_returns_same_reasoner(self):

@@ -288,6 +288,18 @@ class TestSessionBatchApi:
         session.run_batch([(GOOD, "A"), (GOOD, "B")])
         assert session.cache_info().hits > before
 
+    def test_run_batch_parses_each_source_once(self, count_calls):
+        """Sharding parses each distinct source text once per batch (the
+        serial shard then resolves it through the session once more)."""
+        from repro.parser.parser import parse_schema
+
+        parses = count_calls(parse_schema)
+        with SchemaSession() as session:
+            outcomes = session.run_batch(
+                [(GOOD, "A" if i % 2 else "B") for i in range(50)])
+        assert all(outcome.verdict is True for outcome in outcomes)
+        assert len(parses) <= 2
+
     def test_warm_returns_stats_in_order(self):
         session = SchemaSession()
         stats = session.warm([GOOD, CONTRADICTION])

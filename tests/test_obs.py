@@ -240,6 +240,47 @@ class TestExpansionCounters:
             Reasoner(parse_schema(ATTR_SOURCE)).expansion
         assert tracer.counter("expansion.hierarchy_closed_form") == 1
 
+    def test_reuse_builds_partition_the_cartesian_space(self):
+        """Reuse builds (here: augmented queries, one-class deltas) report
+        the same counter block as cold builds: examined + copied + pruned
+        is the full Cartesian count, so ``candidates_pruned`` is never
+        negative."""
+        from repro.core.formulas import Lit
+        from repro.core.schema import ClassDef
+        from repro.workloads.generators import (hierarchy_schema,
+                                                wide_attribute_schema)
+        from repro.workloads.query_workloads import taxonomy_schema
+
+        copied = 0
+        for schema in (taxonomy_schema(3, 1), wide_attribute_schema(4),
+                       hierarchy_schema(3, 2, with_attributes=True, seed=3)):
+            base = Reasoner(schema,
+                            config=EngineConfig(strategy="strategic"))
+            _ = base.pipeline.support
+            names = sorted(schema.class_symbols)
+            for index, formula in enumerate((
+                    Lit(names[0]) & Lit(names[-1]),
+                    Lit(names[len(names) // 2]) & ~Lit(names[1]))):
+                tracer = Tracer()
+                with use_tracer(tracer):
+                    pipeline = base.augmented_with(
+                        ClassDef(f"Q{index}", isa=formula)).pipeline
+                    expansion = pipeline.expansion
+                assert pipeline.delta_stats["mode"] == "delta"
+                n = len(expansion.compound_classes)
+                cartesian = (
+                    len(schema.attribute_symbols) * n ** 2
+                    + sum(n ** rdef.arity
+                          for rdef in schema.relation_definitions))
+                pruned = tracer.counter("expansion.candidates_pruned")
+                assert pruned >= 0
+                assert (tracer.counter("expansion.candidates_examined")
+                        + tracer.counter("expansion.candidates_copied")
+                        + pruned) == cartesian
+                assert tracer.counter("expansion.memo_misses") > 0
+                copied += tracer.counter("expansion.candidates_copied")
+        assert copied > 0
+
 
 class TestLpMetrics:
     def test_exact_backend_counts_pivots(self):

@@ -35,11 +35,14 @@ from repro.expansion.compound import (
     is_consistent_compound_attribute,
     is_consistent_compound_relation,
 )
-from repro.expansion.expansion import build_expansion, is_binding
+from repro.expansion.expansion import (ExpansionSeed, build_expansion,
+                                      is_binding)
 from repro.expansion.tables import build_tables
+from repro.obs.tracer import Tracer, use_tracer
 from repro.reasoner.satisfiability import AUGMENTED_CACHE_LIMIT, Reasoner
 from repro.workloads.generators import (clustered_schema, hierarchy_schema,
                                         random_schema)
+from repro.workloads.query_workloads import taxonomy_schema
 
 SEEDS = range(8)
 
@@ -196,6 +199,95 @@ class TestPruningEquivalence:
             verdicts.append({name: any(name in members for members in populated)
                              for name in sorted(schema.class_symbols)})
         assert verdicts[0] == verdicts[1]
+
+
+# ----------------------------------------------------------------------
+# One builder: a seeded build against the cold build
+# ----------------------------------------------------------------------
+SEEDED_FAMILIES = {
+    "random": lambda seed: random_schema(6, seed=seed),
+    "relational": relational_schema,
+    "clustered": lambda seed: clustered_schema(4, 3, seed=seed),
+    "hierarchy": lambda seed: hierarchy_schema(2, 3, with_attributes=True,
+                                               seed=seed),
+    "taxonomy": lambda seed: taxonomy_schema(
+        *[(2, 1), (2, 2), (3, 1), (4, 1)][seed]),
+}
+
+
+def traced_build(schema, **kwargs):
+    tracer = Tracer()
+    with use_tracer(tracer):
+        expansion = build_expansion(schema, **kwargs)
+    return expansion, tracer
+
+
+def cartesian_total(expansion) -> int:
+    n = len(expansion.compound_classes)
+    schema = expansion.schema
+    return (len(schema.attribute_symbols) * n ** 2
+            + sum(n ** rdef.arity for rdef in schema.relation_definitions))
+
+
+class TestSeededBuildEquivalence:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("family", sorted(SEEDED_FAMILIES))
+    def test_nothing_reused_is_the_cold_build(self, family, seed):
+        """A build seeded with nothing reused is the cold build: the same
+        compound objects in the same order, the same ``Natt``/``Nrel``
+        entries, the same candidates examined."""
+        schema = SEEDED_FAMILIES[family](seed)
+        cold, cold_trace = traced_build(schema)
+        seeded, seeded_trace = traced_build(schema, seed=ExpansionSeed(
+            cold.compound_classes, frozenset(), cold))
+        assert seeded.compound_classes == cold.compound_classes
+        assert seeded.compound_attributes == cold.compound_attributes
+        assert seeded.compound_relations == cold.compound_relations
+        assert list(seeded.natt.items()) == list(cold.natt.items())
+        assert list(seeded.nrel.items()) == list(cold.nrel.items())
+        assert seeded.strategy == "strategic"
+        for counter in ("candidates_examined", "candidates_pruned",
+                        "memo_hits", "memo_misses"):
+            assert (seeded_trace.counter(f"expansion.{counter}")
+                    == cold_trace.counter(f"expansion.{counter}")), counter
+        assert seeded_trace.counter("expansion.candidates_copied") == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("family", sorted(SEEDED_FAMILIES))
+    def test_any_reused_subset_rebuilds_the_cold_expansion(self, family,
+                                                           seed):
+        """Seeded from the cold build of the same schema, any reused
+        subset — with any touched relations — rebuilds the cold expansion:
+        copies plus fresh probes generate each relevant candidate exactly
+        once, and the counters partition the Cartesian space."""
+        schema = SEEDED_FAMILIES[family](seed)
+        cold = build_expansion(schema)
+        rng = random.Random(seed)
+        reused = frozenset(members for members in cold.compound_classes
+                           if rng.random() < 0.6)
+        touched = frozenset(rdef.name for rdef in schema.relation_definitions
+                            if rng.random() < 0.5)
+        seeded, tracer = traced_build(schema, seed=ExpansionSeed(
+            cold.compound_classes, reused, cold, touched))
+        assert seeded.natt == cold.natt and seeded.nrel == cold.nrel
+        for kind in ("compound_attributes", "compound_relations"):
+            built, expected = getattr(seeded, kind), getattr(cold, kind)
+            assert built.keys() == expected.keys()
+            for symbol, compounds in built.items():
+                assert len(compounds) == len(set(compounds)), symbol
+                assert set(compounds) == set(expected[symbol]), symbol
+        examined = tracer.counter("expansion.candidates_examined")
+        copied = tracer.counter("expansion.candidates_copied")
+        pruned = tracer.counter("expansion.candidates_pruned")
+        assert pruned >= 0
+        assert examined + copied + pruned == cartesian_total(cold)
+        assert copied == (
+            sum(ca.left in reused and ca.right in reused
+                for compounds in cold.compound_attributes.values()
+                for ca in compounds)
+            + sum(all(members in reused for _, members in cr.assignment)
+                  for name, compounds in cold.compound_relations.items()
+                  if name not in touched for cr in compounds))
 
 
 # ----------------------------------------------------------------------

@@ -50,6 +50,31 @@ class TestPut:
             "inv", "class B endclass class A isa B endclass")
         assert report.mode == "unchanged"
 
+    def test_each_put_parses_and_renders_once(self, tmp_path, count_calls):
+        """The registry hands the session the schema it parsed, and every
+        layer reads the fingerprint stored on it: one parse and one
+        canonical render per PUT, the artifact's fingerprint included."""
+        from repro.parser.parser import parse_schema
+        from repro.parser.printer import render_schema
+
+        two_clusters = (
+            "class A isa B or C endclass class B endclass "
+            "class C isa not B endclass class X isa Y or Z endclass "
+            "class Y endclass class Z endclass")
+        sources = [
+            two_clusters,
+            two_clusters.replace("X isa Y or Z", "X isa Y and not Z"),
+            two_clusters,
+            two_clusters.replace("C isa not B", "C isa B"),
+        ]
+        registry = SchemaRegistry(SchemaSession(
+            EngineConfig(artifact_dir=str(tmp_path))))
+        parses = count_calls(parse_schema)
+        renders = count_calls(render_schema)
+        modes = [registry.put("inv", source)[1].mode for source in sources]
+        assert modes == ["fresh", "delta", "delta", "delta"]
+        assert len(parses) == len(renders) == len(sources)
+
     def test_put_rejects_bad_names(self, registry):
         for bad in ("", "a@b", "a/b", "x" * 200, 7):
             with pytest.raises(RegistryError):

@@ -219,6 +219,18 @@ class TestClassify:
                              {"schema": "class endclass"})
         assert response.status == 422
 
+    def test_identical_requests_parse_once(self, service, count_calls):
+        """/v1/classify goes through the service's schema memo, like
+        /v1/satisfiable: a repeated source is parsed once."""
+        from repro.parser.parser import parse_schema
+
+        parses = count_calls(parse_schema)
+        for _ in range(5):
+            response = _dispatch(service, "POST", "/v1/classify",
+                                 {"schema": GOOD_SCHEMA})
+            assert response.status == 200
+        assert len(parses) == 1
+
 
 class TestBatch:
     def test_batch_outcomes_in_order(self, service):
