@@ -74,7 +74,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .core.budget import Budget, use_budget
-from .core.errors import CarError, LinearSystemError
+from .core.errors import CarError, LinearSystemError, ParseError
 from .core.schema import Schema
 from .engine.config import EngineConfig
 from .engine.session import SchemaSession
@@ -313,38 +313,25 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     produced a verdict, otherwise the first failed query's error code
     (75 for a tripped budget).
     """
-    import dataclasses
-
-    from .engine.executor import QueryError, QueryOutcome
-
     if args.queries == "-":
         text = sys.stdin.read()
     else:
         text = Path(args.queries).read_text(encoding="utf-8")
 
-    items: list[tuple[int, object]] = []
-    premade: dict[int, QueryOutcome] = {}
-    position = 0
+    # An invalid JSON line goes into its slot as the error itself, which
+    # the batch reports as that query's outcome.
+    items: list[object] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            items.append((position, json.loads(line)))
+            items.append(json.loads(line))
         except ValueError as exc:
-            premade[position] = QueryOutcome(
-                position, None,
-                QueryError("ParseError",
-                           f"line {lineno}: invalid JSON: {exc}", 65))
-        position += 1
+            items.append(ParseError(f"line {lineno}: invalid JSON: {exc}"))
 
-    outcomes = args.session.run_batch(
-        [query for _, query in items],
-        jobs=(args.jobs if args.jobs > 0 else None), mode=args.mode,
+    results = args.session.run_batch(
+        items, jobs=(args.jobs if args.jobs > 0 else None), mode=args.mode,
         deadline=args.timeout, max_steps=args.max_steps)
-    merged = dict(premade)
-    for (slot, _), outcome in zip(items, outcomes):
-        merged[slot] = dataclasses.replace(outcome, index=slot)
-    results = [merged[slot] for slot in range(position)]
 
     summary = {
         "total": len(results),

@@ -23,10 +23,12 @@ reuse :meth:`~repro.engine.session.SchemaSession.check_many` exploits
 serially).  Workers start *warm* whenever possible: a shard whose schema
 the parent session has already compiled ships the precompiled
 :class:`~repro.engine.artifact.CompiledSchema` snapshot in its payload
-(one unpickle beats a re-parse/re-expand by an order of magnitude), and a
-cold worker consults the disk artifact cache before building from source.  The pool is a :class:`concurrent.futures.ProcessPoolExecutor`
-by default — the pipeline is pure CPU-bound Python, so processes are the
-only way to real parallelism — with a thread-pool and a serial fallback
+(one unpickle beats a re-expand by an order of magnitude), and a cold
+worker consults the disk artifact cache before building from the parsed
+schema the payload carries.  The pool is a
+:class:`concurrent.futures.ProcessPoolExecutor` by default — the pipeline
+is pure CPU-bound Python, so processes are the only way to real
+parallelism — with a thread-pool and a serial fallback
 when process pools are unavailable (restricted sandboxes, interpreters
 without ``fork``/``spawn``); a broken pool degrades to in-process
 execution instead of failing the batch.
@@ -41,7 +43,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, \
+    Union
 
 from ..core import errors as _errors
 from ..core.budget import NULL_BUDGET, Budget, use_budget
@@ -53,6 +56,7 @@ from .config import EngineConfig
 from .stats import PipelineStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..reasoner.satisfiability import Reasoner
     from .session import SchemaSession
 
 __all__ = ["BatchExecutor", "BatchQuery", "QueryError", "QueryOutcome"]
@@ -83,10 +87,15 @@ class BatchQuery:
         mapping with ``"schema"`` and ``"formula"`` keys (the JSONL line
         shape of ``repro batch``).  String formulas go through the
         concrete-syntax parser, so ``"A and not B"`` works, not just bare
-        class names.
+        class names.  A :class:`~repro.core.errors.CarError` is raised as
+        it is: a caller that failed to build a query (an invalid JSONL
+        line, an unknown ``schema_ref``) passes the failure in its slot,
+        and it becomes that query's outcome.
         """
         if isinstance(value, cls):
             return value
+        if isinstance(value, CarError):
+            raise value
         if isinstance(value, dict):
             try:
                 schema, formula = value["schema"], value["formula"]
@@ -115,7 +124,7 @@ class BatchQuery:
 
 
 #: Anything :meth:`BatchQuery.coerce` accepts.
-BatchQueryLike = Union[BatchQuery, tuple, dict]
+BatchQueryLike = Union[BatchQuery, tuple, dict, CarError]
 
 
 @dataclass(frozen=True)
@@ -225,14 +234,19 @@ class QueryOutcome:
 class _ShardPayload:
     """Everything one worker needs to answer one schema's queries.
 
+    ``schema`` is the parsed schema (it pickles with its stored
+    fingerprint, so a process worker neither parses nor renders it).
     ``artifact`` optionally carries the parent's precompiled
     :class:`~repro.engine.artifact.CompiledSchema` snapshot, so the worker
     unpickles warm Phase-1/Phase-2 stage products (one unpickle per worker
-    per schema) instead of re-parsing and re-expanding the source text.
+    per schema) instead of re-expanding the schema.  The session's own
+    one-schema batch (:meth:`SchemaSession.check_many_detailed
+    <repro.engine.session.SchemaSession.check_many_detailed>`) passes its
+    caller's schema or source text as it came, and no ``fingerprint``.
     """
 
-    schema_source: str
-    fingerprint: str
+    schema: Schema
+    fingerprint: Optional[str]
     queries: tuple[tuple[int, Formula], ...]
     config: EngineConfig
     deadline: Optional[float]
@@ -242,13 +256,13 @@ class _ShardPayload:
 
 
 def _shard_reasoner(payload: _ShardPayload):
-    """The worker's reasoner for one shard, warmest available route first:
-    the shipped snapshot, then the disk artifact cache, then a fresh build
-    (which persists its own snapshot for the next cold worker)."""
-    from ..parser.parser import parse_schema
+    """A pool worker's reasoner for one shard: the shipped snapshot when
+    it loads, else the session's build path (disk artifact, else a fresh
+    build that persists its own snapshot for the next cold worker)."""
     from ..reasoner.satisfiability import Reasoner
     from .artifact import ArtifactCache
     from .pipeline import Pipeline
+    from .session import _build_reasoner
 
     config = payload.config
     if payload.artifact is not None:
@@ -257,36 +271,43 @@ def _shard_reasoner(payload: _ShardPayload):
             return Reasoner.from_pipeline(pipeline)
         except CarError:
             pass  # incompatible snapshot: fall through to a real build
-    cache = ArtifactCache.from_config(config)
-    if cache is not None:
-        artifact = cache.load(payload.fingerprint, config)
-        if artifact is not None:
-            return Reasoner.from_pipeline(
-                Pipeline.from_artifact(artifact, config))
-    schema = parse_schema(payload.schema_source)
-    reasoner = Reasoner(schema, config=config)
-    if cache is not None:
-        reasoner.pipeline.on_system_built = (
-            lambda built: cache.store(built.compile()))
-    return reasoner
+    return _build_reasoner(payload.schema, payload.fingerprint, config,
+                           ArtifactCache.from_config(config))
 
 
-def _run_shard(payload: _ShardPayload) -> list[QueryOutcome]:
-    """Answer one schema shard: rehydrate or build the pipeline once,
-    answer each query under a fresh budget, isolate every failure into
-    its outcome."""
+def _answer_shard(payload: _ShardPayload,
+                  reasoner_of: Callable[[_ShardPayload], "Reasoner"]
+                  ) -> list[QueryOutcome]:
+    """Answer one schema's queries — the one shard runner of pool
+    workers, serial batches and :meth:`SchemaSession.check_many_detailed
+    <repro.engine.session.SchemaSession.check_many_detailed>`.
+
+    ``reasoner_of(payload)`` gets the reasoner once; a
+    :class:`~repro.core.errors.CarError` there becomes every query's
+    outcome.  Each query then runs under a fresh budget with its failure
+    isolated in its outcome, tagged with the fingerprint of the
+    reasoner's schema (a stored hash: no render).
+    """
+    from .session import schema_fingerprint
+
     try:
-        reasoner = _shard_reasoner(payload)
+        reasoner = reasoner_of(payload)
     except CarError as exc:
-        error = QueryError.from_exception(exc)
-        return [QueryOutcome(index, None, error,
-                             schema_fingerprint=payload.fingerprint)
-                for index, _ in payload.queries]
+        return _shard_failed(payload, exc)
+    fingerprint = schema_fingerprint(reasoner.schema)
     return [_answer_with_reasoner(reasoner, index, formula,
                                   payload.deadline, payload.max_steps,
-                                  payload.collect_stats,
-                                  payload.fingerprint)
+                                  payload.collect_stats, fingerprint)
             for index, formula in payload.queries]
+
+
+def _shard_failed(payload: _ShardPayload,
+                  exc: CarError) -> list[QueryOutcome]:
+    """Every query of a shard failed with ``exc``."""
+    error = QueryError.from_exception(exc)
+    return [QueryOutcome(index, None, error,
+                         schema_fingerprint=payload.fingerprint)
+            for index, _ in payload.queries]
 
 
 # ----------------------------------------------------------------------
@@ -433,32 +454,31 @@ class BatchExecutor:
                    len(outcomes) + sum(len(p.queries) for p in shards))
         tracer.add("executor.shards", len(shards))
 
+        # In-process shards answer through the session's warm LRU.
+        serial = (_shard_reasoner if session is None
+                  else lambda payload: session.reasoner(payload.schema))
         pool = self._ensure_pool() if shards else None
         if pool is None:
             for payload in shards:
-                for outcome in self._run_serial(payload, session):
+                for outcome in _answer_shard(payload, serial):
                     outcomes[outcome.index] = outcome
         else:
             import concurrent.futures as futures
 
-            pending = {pool.submit(_run_shard, payload): payload
-                       for payload in shards}
+            pending = {pool.submit(_answer_shard, payload, _shard_reasoner):
+                       payload for payload in shards}
             for future in futures.as_completed(pending):
                 payload = pending[future]
                 try:
                     shard_outcomes = future.result()
                 except CarError as exc:
-                    error = QueryError.from_exception(exc)
-                    shard_outcomes = [
-                        QueryOutcome(index, None, error,
-                                     schema_fingerprint=payload.fingerprint)
-                        for index, _ in payload.queries]
+                    shard_outcomes = _shard_failed(payload, exc)
                 except Exception:
                     # A broken pool (killed worker, unpicklable payload,
                     # missing fork support) — degrade to in-process
                     # execution for this shard rather than fail the batch.
                     tracer.add("executor.pool_fallbacks")
-                    shard_outcomes = self._run_serial(payload, session)
+                    shard_outcomes = _answer_shard(payload, serial)
                 for outcome in shard_outcomes:
                     outcomes[outcome.index] = outcome
 
@@ -490,10 +510,9 @@ class BatchExecutor:
         cold schemas are cheaper to build in the worker than to build in
         the parent and ship).
         """
-        from ..parser.printer import render_schema
         from .session import _as_schema, schema_fingerprint
 
-        grouped: dict[str, tuple[str, list[tuple[int, Formula]]]] = {}
+        grouped: dict[str, tuple[Schema, list[tuple[int, Formula]]]] = {}
         # One parse per distinct source text: queries repeat their schema.
         parsed: dict[str, Schema] = {}
         for index, raw in enumerate(queries):
@@ -510,34 +529,24 @@ class BatchExecutor:
                     index, None, QueryError.from_exception(exc))
                 continue
             if fingerprint not in grouped:
-                source = (query.schema if isinstance(query.schema, str)
-                          else render_schema(schema))
-                grouped[fingerprint] = (source, [])
+                grouped[fingerprint] = (schema, [])
             grouped[fingerprint][1].append((index, query.formula))
         attach = session is not None and self._effective_mode() != "serial"
         return [
-            _ShardPayload(source, fingerprint, tuple(members),
+            _ShardPayload(schema, fingerprint, tuple(members),
                           self.config, deadline, max_steps, collect_stats,
                           artifact=(session.peek_compiled(fingerprint)
                                     if attach else None))
-            for fingerprint, (source, members) in grouped.items()
+            for fingerprint, (schema, members) in grouped.items()
         ]
-
-    def _run_serial(self, payload: _ShardPayload,
-                    session: Optional["SchemaSession"]) -> list[QueryOutcome]:
-        """In-process shard execution, through ``session`` when given (so
-        the serial path shares its warm pipeline cache)."""
-        if session is None:
-            return _run_shard(payload)
-        return session._answer_shard(payload)
 
 
 def _answer_with_reasoner(reasoner, index: int, formula: Formula,
                           deadline: Optional[float],
                           max_steps: Optional[int], collect_stats: bool,
                           fingerprint: Optional[str]) -> QueryOutcome:
-    """One budgeted, failure-isolated query against a warm reasoner —
-    shared by the worker path and the in-session serial path."""
+    """One budgeted, failure-isolated query against a warm reasoner (the
+    per-query step of :func:`_answer_shard`)."""
     budgeted = deadline is not None or max_steps is not None
     budget = Budget(deadline, max_steps) if budgeted else NULL_BUDGET
     start = time.perf_counter()

@@ -51,7 +51,8 @@ from .stats import PipelineStats, SessionStats
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..reasoner.satisfiability import CoherenceReport, Reasoner
     from .delta import RevalidationReport
-    from .executor import BatchQueryLike, QueryOutcome, _ShardPayload
+    from .artifact import ArtifactCache
+    from .executor import BatchQueryLike, QueryOutcome
 
 __all__ = ["SchemaSession", "SessionStats", "schema_fingerprint"]
 
@@ -104,6 +105,32 @@ def _as_schema(schema: SchemaLike) -> Schema:
     return parse_schema(schema)
 
 
+def _build_reasoner(schema: Schema, fingerprint: str, config: EngineConfig,
+                    cache: "Optional[ArtifactCache]") -> "Reasoner":
+    """A new reasoner for ``schema``, disk artifact first — the one build
+    path of a session's LRU misses and of batch pool workers.
+
+    A disk hit rehydrates the pipeline from its
+    :class:`~repro.engine.artifact.CompiledSchema` snapshot; a miss builds
+    lazily and arms the persist hook, so the snapshot is saved the moment
+    the ``system`` stage completes (never eagerly — an eager build here
+    would escape per-query budget scopes).
+    """
+    from ..reasoner.satisfiability import Reasoner
+    from .pipeline import Pipeline
+
+    if cache is not None:
+        artifact = cache.load(fingerprint, config)
+        if artifact is not None:
+            return Reasoner.from_pipeline(
+                Pipeline.from_artifact(artifact, config))
+    reasoner = Reasoner(schema, config=config)
+    if cache is not None:
+        reasoner.pipeline.on_system_built = (
+            lambda pipeline: cache.store(pipeline.compile()))
+    return reasoner
+
+
 class SchemaSession:
     """A service-facing façade over the engine: warm pipelines per schema.
 
@@ -143,11 +170,9 @@ class SchemaSession:
 
         A hit returns the existing instance with whatever pipeline stages
         and memoized query verdicts it already accumulated; a miss builds a
-        fresh (lazy, so cheap) reasoner and may evict the least recently
-        used one.
+        fresh (lazy, so cheap) reasoner through :func:`_build_reasoner`
+        and may evict the least recently used one.
         """
-        from ..reasoner.satisfiability import Reasoner
-
         schema = _as_schema(schema)
         key = schema_fingerprint(schema)
         tracer = current_tracer()
@@ -160,38 +185,22 @@ class SchemaSession:
                 return cached
             self._misses += 1
             tracer.add("session.cache_misses")
-            reasoner = self._build_reasoner(schema, key)
-            self._cache[key] = reasoner
-            while len(self._cache) > self.config.session_cache_limit:
-                self._cache.popitem(last=False)
-                self._evictions += 1
-                tracer.add("session.cache_evictions")
-            tracer.gauge("session.cache_size", len(self._cache))
+            reasoner = _build_reasoner(schema, key, self.config,
+                                       self._artifact_cache)
+            self._remember(key, reasoner)
             return reasoner
 
-    def _build_reasoner(self, schema: Schema, fingerprint: str) -> "Reasoner":
-        """The LRU-miss construction path, artifact cache first.
-
-        A disk hit rehydrates the pipeline from its
-        :class:`~repro.engine.artifact.CompiledSchema` snapshot; a miss
-        builds lazily and arms the persist hook, so the snapshot is saved
-        the moment the ``system`` stage completes (never eagerly — an
-        eager build here would escape per-query budget scopes).
-        """
-        from ..reasoner.satisfiability import Reasoner
-        from .pipeline import Pipeline
-
-        cache = self._artifact_cache
-        if cache is not None:
-            artifact = cache.load(fingerprint, self.config)
-            if artifact is not None:
-                pipeline = Pipeline.from_artifact(artifact, self.config)
-                return Reasoner.from_pipeline(pipeline)
-        reasoner = Reasoner(schema, config=self.config)
-        if cache is not None:
-            reasoner.pipeline.on_system_built = (
-                lambda pipeline: cache.store(pipeline.compile()))
-        return reasoner
+    def _remember(self, fingerprint: str, reasoner: "Reasoner") -> None:
+        """Put ``reasoner`` at the LRU's recent end and evict past the
+        limit (the caller holds the lock)."""
+        tracer = current_tracer()
+        self._cache[fingerprint] = reasoner
+        self._cache.move_to_end(fingerprint)
+        while len(self._cache) > self.config.session_cache_limit:
+            self._cache.popitem(last=False)
+            self._evictions += 1
+            tracer.add("session.cache_evictions")
+        tracer.gauge("session.cache_size", len(self._cache))
 
     @property
     def artifact_cache(self):
@@ -292,13 +301,7 @@ class SchemaSession:
         _ = pipeline.support
         reasoner = Reasoner.from_pipeline(pipeline)
         with self._lock:
-            self._cache[new_fp] = reasoner
-            self._cache.move_to_end(new_fp)
-            while len(self._cache) > self.config.session_cache_limit:
-                self._cache.popitem(last=False)
-                self._evictions += 1
-                tracer.add("session.cache_evictions")
-            tracer.gauge("session.cache_size", len(self._cache))
+            self._remember(new_fp, reasoner)
         if self._artifact_cache is not None:
             self._artifact_cache.store(pipeline.compile())
         stats = pipeline.delta_stats
@@ -365,7 +368,11 @@ class SchemaSession:
                     self._artifact_cache.discard_fingerprint(fingerprint)
 
     def __contains__(self, schema: SchemaLike) -> bool:
-        return schema_fingerprint(schema) in self._cache
+        """Is ``schema`` — a schema, its source text, or its fingerprint —
+        warm in the LRU?"""
+        fingerprint = _fingerprint_of(schema)
+        with self._lock:
+            return fingerprint in self._cache
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -412,32 +419,26 @@ class SchemaSession:
         instead of an exception tearing the batch down.
         """
         from ..core.formulas import as_formula
-        from .executor import QueryError, QueryOutcome, _answer_with_reasoner
+        from .executor import QueryError, QueryOutcome, _answer_shard, \
+            _ShardPayload
 
-        coerced: list[tuple[int, object]] = []
-        outcomes: dict[int, QueryOutcome] = {}
+        queries: list[tuple[int, object]] = []
+        outcomes: list[QueryOutcome] = []
         for index, formula in enumerate(formulas):
             try:
-                coerced.append((index, as_formula(formula)))
+                queries.append((index, as_formula(formula)))
             except CarError as exc:
-                outcomes[index] = QueryOutcome(
-                    index, None, QueryError.from_exception(exc))
-        total = len(coerced) + len(outcomes)
-        if coerced:
-            try:
-                schema_obj = _as_schema(schema)
-                fingerprint = schema_fingerprint(schema_obj)
-                reasoner = self.reasoner(schema_obj)
-            except CarError as exc:
-                error = QueryError.from_exception(exc)
-                for index, _ in coerced:
-                    outcomes[index] = QueryOutcome(index, None, error)
-            else:
-                for index, formula in coerced:
-                    outcomes[index] = _answer_with_reasoner(
-                        reasoner, index, formula, deadline, max_steps,
-                        collect_stats, fingerprint)
-        return [outcomes[index] for index in range(total)]
+                outcomes.append(QueryOutcome(
+                    index, None, QueryError.from_exception(exc)))
+        if queries:
+            # Source text is parsed inside the shard runner, so a schema
+            # that does not parse fails each query, not the call.
+            payload = _ShardPayload(schema, None, tuple(queries),
+                                    self.config, deadline, max_steps,
+                                    collect_stats)
+            outcomes += _answer_shard(
+                payload, lambda shard: self.reasoner(shard.schema))
+        return sorted(outcomes, key=lambda outcome: outcome.index)
 
     def run_batch(self, queries: "Iterable[BatchQueryLike]", *,
                   jobs: Optional[int] = 1, mode: str = "auto",
@@ -482,24 +483,6 @@ class SchemaSession:
             if self._executor is not None:
                 self._executor.close()
                 self._executor = None
-
-    def _answer_shard(self, payload: "_ShardPayload") -> "list[QueryOutcome]":
-        """In-process shard execution against this session's warm cache
-        (the serial path of :class:`~repro.engine.executor.BatchExecutor`)."""
-        from .executor import QueryError, QueryOutcome, _answer_with_reasoner
-
-        try:
-            reasoner = self.reasoner(payload.schema_source)
-        except CarError as exc:
-            error = QueryError.from_exception(exc)
-            return [QueryOutcome(index, None, error,
-                                 schema_fingerprint=payload.fingerprint)
-                    for index, _ in payload.queries]
-        return [_answer_with_reasoner(reasoner, index, formula,
-                                      payload.deadline, payload.max_steps,
-                                      payload.collect_stats,
-                                      payload.fingerprint)
-                for index, formula in payload.queries]
 
     # ------------------------------------------------------------------
     # Conjunctive-query answering

@@ -29,11 +29,11 @@ certain answers — sound for satisfiable schemas (see
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
 from ..core.budget import current_budget
+from ..core.lru import LruMemo
 from ..obs.tracer import current_tracer
 from .ast import (
     Atom,
@@ -79,8 +79,8 @@ class QueryRewriter:
     def __init__(self, closure: ClosureIndex,
                  cache_limit: int = REWRITE_CACHE_LIMIT):
         self._closure = closure
-        self._cache: OrderedDict[str, RewriteResult] = OrderedDict()
-        self._cache_limit = cache_limit
+        # Shared by every service thread that queries this schema.
+        self._cache = LruMemo(cache_limit)
 
     @property
     def closure(self) -> ClosureIndex:
@@ -93,7 +93,6 @@ class QueryRewriter:
         key = render_query(seed)
         cached = self._cache.get(key)
         if cached is not None:
-            self._cache.move_to_end(key)
             tracer.add("qa.rewrite_cache_hits")
             return RewriteResult(cached.disjuncts, cached.steps,
                                  cached.generated, cached.pruned,
@@ -101,9 +100,7 @@ class QueryRewriter:
         tracer.add("qa.rewrite_cache_misses")
         with tracer.span("qa.rewrite"):
             result = self._saturate(seed)
-        self._cache[key] = result
-        if len(self._cache) > self._cache_limit:
-            self._cache.popitem(last=False)
+        self._cache.put(key, result)
         tracer.add("qa.rewrite_steps", result.steps)
         tracer.add("qa.disjuncts_generated", result.generated)
         tracer.add("qa.disjuncts_pruned", result.pruned)

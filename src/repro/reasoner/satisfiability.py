@@ -17,12 +17,12 @@ at no extra solving cost.  Pipeline knobs travel in one
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
 from ..core.errors import ReasoningError
 from ..core.formulas import Formula, FormulaLike, as_formula
+from ..core.lru import LruMemo
 from ..core.schema import Schema
 from ..engine.config import EngineConfig
 from ..engine.pipeline import Pipeline
@@ -80,7 +80,7 @@ class Reasoner:
             config = EngineConfig()
         self._config = config
         self._pipeline = Pipeline(schema, config)
-        self._augmented_cache: OrderedDict[Formula, bool] = OrderedDict()
+        self._augmented_cache = LruMemo(AUGMENTED_CACHE_LIMIT)
         self._min_witness: Optional[dict] = None
 
     @classmethod
@@ -97,7 +97,7 @@ class Reasoner:
         reasoner = cls.__new__(cls)
         reasoner._config = pipeline.config
         reasoner._pipeline = pipeline
-        reasoner._augmented_cache = OrderedDict()
+        reasoner._augmented_cache = LruMemo(AUGMENTED_CACHE_LIMIT)
         reasoner._min_witness = None
         return reasoner
 
@@ -250,7 +250,6 @@ class Reasoner:
         cached = self._augmented_cache.get(formula)
         if cached is not None:
             tracer.add("reasoner.verdict_cache_hits")
-            self._augmented_cache.move_to_end(formula)
             return cached
         tracer.add("reasoner.verdict_cache_misses")
         name = self.fresh_class_name()
@@ -258,9 +257,7 @@ class Reasoner:
                 self._pipeline.timer.stage("augmented_query"):
             verdict = self.augmented_with(
                 ClassDef(name, isa=formula)).is_satisfiable(name)
-        self._augmented_cache[formula] = verdict
-        if len(self._augmented_cache) > AUGMENTED_CACHE_LIMIT:
-            self._augmented_cache.popitem(last=False)
+        self._augmented_cache.put(formula, verdict)
         return verdict
 
     def satisfiable_classes(self) -> list[str]:

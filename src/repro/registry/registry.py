@@ -7,7 +7,8 @@ it, or how it evolved.  The registry is the naming layer above it:
 * every schema lives at ``(tenant, name)`` and accumulates a **version
   history** — each :meth:`SchemaRegistry.put` of changed source appends a
   :class:`SchemaVersion` (monotonic number, source, fingerprint,
-  timestamp) and revalidates it through :meth:`SchemaSession.update
+  timestamp, and the parsed schema) and revalidates it through
+  :meth:`SchemaSession.update
   <repro.engine.session.SchemaSession.update>`, so consecutive versions
   pay only for their diff (see :mod:`repro.engine.delta`);
 * **quotas** bound each tenant: schema count, per-source and total stored
@@ -39,6 +40,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from ..core.errors import (RegistryError, RegistryNotFound,
                            RegistryQuotaError, RegistrySizeError)
+from ..core.schema import Schema
 from ..engine.config import EngineConfig
 from ..engine.session import SchemaSession, schema_fingerprint
 from ..obs.tracer import current_tracer
@@ -97,6 +99,11 @@ class SchemaVersion:
     #: The revalidation that admitted this version, as reported JSON
     #: (None for the pre-registry seed of an entry, never for puts).
     revalidation: Optional[dict] = field(default=None, compare=False)
+    #: The schema its put parsed, shared by every stored version with
+    #: the same fingerprint and by the session's reasoner for it, so
+    #: reads by ref neither parse nor render.
+    schema: Optional[Schema] = field(default=None, compare=False,
+                                     repr=False)
 
     @property
     def ref(self) -> str:
@@ -188,6 +195,10 @@ class SchemaRegistry:
                 return prev, RevalidationReport(
                     mode="unchanged", fingerprint_old=prev.fingerprint,
                     fingerprint_new=fingerprint)
+            with self._lock:
+                # One Schema per stored fingerprint: re-putting a known
+                # source keeps the object the session already holds.
+                schema = self._live_schema(fingerprint) or schema
             _, report = self.session.update(
                 prev.fingerprint if prev is not None else None, schema)
         finally:
@@ -201,7 +212,7 @@ class SchemaRegistry:
             entry = SchemaVersion(
                 tenant=tenant, name=name, version=number, source=source,
                 fingerprint=fingerprint, created_at=time.time(),
-                revalidation=report.to_json())
+                revalidation=report.to_json(), schema=schema)
             history.append(entry)
             self._prune(key)
             tracer = current_tracer()
@@ -250,7 +261,7 @@ class SchemaRegistry:
                     f"unpin one before adding more")
             dropped = history.pop(prunable)
             current_tracer().add("registry.pruned")
-            if not self._is_live(dropped.fingerprint):
+            if self._live_schema(dropped.fingerprint) is None:
                 self.session.invalidate(dropped.fingerprint)
 
     def pin(self, name: str, version: int, *, tenant: Optional[str] = None,
@@ -299,7 +310,7 @@ class SchemaRegistry:
             tracer.gauge(f"registry.schemas.{tenant}",
                          self._schema_count(tenant))
             gone = [entry.fingerprint for entry in removed
-                    if not self._is_live(entry.fingerprint)]
+                    if self._live_schema(entry.fingerprint) is None]
         self.session.invalidate(gone, drop_artifacts=drop_artifacts)
         return len(removed)
 
@@ -341,8 +352,9 @@ class SchemaRegistry:
 
     def reasoner(self, ref: str, *,
                  tenant: Optional[str] = None) -> "Reasoner":
-        """The warm reasoner for a ref — the query-path entry point."""
-        return self.session.reasoner(self.resolve(ref, tenant=tenant).source)
+        """The warm reasoner for a ref — the query-path entry point (the
+        version's stored schema goes to the session: no parse)."""
+        return self.session.reasoner(self.resolve(ref, tenant=tenant).schema)
 
     def versions(self, name: str, *,
                  tenant: Optional[str] = None) -> list[SchemaVersion]:
@@ -393,13 +405,15 @@ class SchemaRegistry:
                 f"no schema named {name!r} for tenant {tenant!r}")
         return history
 
-    def _is_live(self, fingerprint: str) -> bool:
-        """Does a stored version of any schema still hold ``fingerprint``?
-        Then its warm pipeline stays in the session: pruning or deleting
-        another version with the same source must not evict it."""
-        return any(version.fingerprint == fingerprint
-                   for history in self._entries.values()
-                   for version in history)
+    def _live_schema(self, fingerprint: str) -> Optional[Schema]:
+        """The schema of a stored version (of any schema) that holds
+        ``fingerprint``, or None.  While one does, its warm pipeline stays
+        in the session — pruning or deleting another version with the same
+        source must not evict it — and a put of that source reuses it."""
+        return next((version.schema
+                     for history in self._entries.values()
+                     for version in history
+                     if version.fingerprint == fingerprint), None)
 
     def _schema_count(self, tenant: str) -> int:
         return sum(1 for owner, _ in self._entries if owner == tenant)

@@ -25,9 +25,10 @@ See ``docs/api.md`` (Service section) for the envelope contract and
 worker-pool → drain request flow.
 """
 
+from ..core.lru import LruMemo
 from .admission import AdmissionController, AdmissionRejected, AdmissionStats
 from .app import API_VERSION, ReproService, ServiceConfig
-from .cache import LruMemo, ResultCache, ResultCacheStats
+from .cache import ResultCache, ResultCacheStats
 from .http import AsyncServiceServer, HTTP_STATUS_BY_EXIT, Headers, \
     ServiceResponse, status_for_exit_code
 from .metrics import LatencyHistogram

@@ -76,6 +76,7 @@ from typing import Mapping, Optional
 
 from ..core.budget import Budget, use_budget
 from ..core.errors import BudgetExceeded, CarError, ParseError
+from ..core.lru import LruMemo
 from ..engine.artifact import ARTIFACT_SCHEMA_VERSION
 from ..engine.config import EngineConfig
 from ..engine.session import SchemaSession, schema_fingerprint
@@ -83,7 +84,7 @@ from ..engine.stats import STATS_SCHEMA_VERSION
 from ..obs.tracer import TRACE_SCHEMA_VERSION, Tracer, use_tracer
 from ..registry import RegistryConfig, SchemaRegistry
 from .admission import AdmissionController, AdmissionRejected
-from .cache import LruMemo, ResultCache
+from .cache import ResultCache
 from .http import AsyncServiceServer, ServiceResponse, new_request_id, \
     status_for_exit_code
 from .metrics import LatencyHistogram
@@ -334,8 +335,7 @@ class ReproService:
             text = document.get("formula", document.get("class"))
             if not isinstance(text, str) or not text.strip():
                 return None
-            source = self._schema_source(document)
-            fingerprint, _ = self._memo_schema(source)
+            fingerprint, _ = self._schema_of(document)
             _, formula_key = self._memo_formula(text)
         except Exception:  # noqa: BLE001 - fall back to the full path
             return None
@@ -657,8 +657,17 @@ class ReproService:
     # ------------------------------------------------------------------
     # Reasoning endpoints
     # ------------------------------------------------------------------
-    def _memo_schema(self, source: str):
-        """``(fingerprint, Schema)`` for a source text, memoized."""
+    def _schema_of(self, document: dict):
+        """``(fingerprint, Schema)`` of a query body: a registry
+        ``schema_ref`` (``name`` / ``name@version``) resolved for the
+        request's tenant to its stored schema, or inline ``schema`` text,
+        parsed through the source memo."""
+        if "schema_ref" in document and "schema" not in document:
+            ref = self._required_str(document, "schema_ref")
+            version = self.registry.resolve(ref,
+                                            tenant=document.get("tenant"))
+            return version.fingerprint, version.schema
+        source = self._required_str(document, "schema")
         entry = self._schema_memo.get(source)
         if entry is None:
             from ..parser.parser import parse_schema
@@ -688,7 +697,7 @@ class ReproService:
         consulted *before* any reasoner; misses run through the warm
         session under the request budget and populate it.
         """
-        schema_source = self._schema_source(document)
+        fingerprint, schema = self._schema_of(document)
         if "formula" in document:
             formula_text = self._required_str(document, "formula")
         elif "class" in document:
@@ -697,7 +706,6 @@ class ReproService:
             raise ParseError(
                 "satisfiable body needs a 'formula' (or 'class') key")
         formula, key = self._memo_formula(formula_text)
-        fingerprint, schema = self._memo_schema(schema_source)
         cached = self.cache.get(fingerprint, key)
         if cached is not None:
             return self._ok(200, request_id, {
@@ -739,12 +747,11 @@ class ReproService:
         from ..qa import parse_query
         from ..qa.ast import canonical_query, render_query
 
-        schema_source = self._schema_source(document)
+        fingerprint, schema = self._schema_of(document)
         query_text = self._required_str(document, "query")
         database = document.get("database")
         if database is not None and not isinstance(database, dict):
             raise ParseError("query 'database' must be a JSON object")
-        fingerprint, schema = self._memo_schema(schema_source)
         query = parse_query(query_text, schema)
         key = "cq:" + render_query(canonical_query(query))
         if database is not None:
@@ -771,7 +778,7 @@ class ReproService:
                   request_id: str) -> ServiceResponse:
         """``POST /v1/classify`` — the implied subsumption hierarchy
         (``schema`` source inline, or a registry ``schema_ref``)."""
-        _, schema = self._memo_schema(self._schema_source(document))
+        _, schema = self._schema_of(document)
         budget = (Budget(deadline, max_steps)
                   if deadline is not None or max_steps is not None
                   else None)
@@ -792,14 +799,14 @@ class ReproService:
         queries = document.get("queries")
         if not isinstance(queries, list):
             raise ParseError("batch body needs a 'queries' list")
-        tenant = document.get("tenant")
-        queries = [self._resolve_batch_query(query, tenant)
-                   for query in queries]
         if len(queries) > self.config.max_batch_queries:
             return self._fail(
                 413, request_id, "payload_too_large",
                 f"batch of {len(queries)} exceeds the "
                 f"{self.config.max_batch_queries}-query bound", sysexit=77)
+        tenant = document.get("tenant")
+        queries = [self._resolve_batch_query(query, tenant)
+                   for query in queries]
         jobs = document.get("jobs", 1)
         mode = document.get("mode", "auto")
         if not isinstance(jobs, int) or jobs < 1:
@@ -831,27 +838,20 @@ class ReproService:
                 f"request body needs a non-empty {key!r} string")
         return value
 
-    def _schema_source(self, document: dict) -> str:
-        """The schema source of a query body: inline ``schema`` text, or
-        a registry ``schema_ref`` (``name`` / ``name@version``) resolved
-        for the request's tenant."""
-        if "schema_ref" in document and "schema" not in document:
-            ref = self._required_str(document, "schema_ref")
-            return self.registry.resolve(
-                ref, tenant=document.get("tenant")).source
-        return self._required_str(document, "schema")
-
     def _resolve_batch_query(self, query, tenant: Optional[str]):
-        """Rewrite one batch query's ``schema_ref`` to inline source
-        (non-dict and ref-less queries pass through untouched)."""
+        """One batch query with its ``schema_ref`` replaced by the
+        version's stored schema (non-dict and ref-less queries pass
+        through untouched).  A ref that does not resolve is passed on as
+        the error itself, which becomes that query's outcome."""
         if not isinstance(query, dict) or "schema_ref" not in query \
                 or "schema" in query:
             return query
-        resolved = self.registry.resolve(query["schema_ref"], tenant=tenant)
-        rewritten = dict(query)
-        rewritten.pop("schema_ref")
-        rewritten["schema"] = resolved.source
-        return rewritten
+        try:
+            version = self.registry.resolve(query["schema_ref"],
+                                            tenant=tenant)
+        except CarError as exc:
+            return exc
+        return dict(query, schema=version.schema)
 
     # ------------------------------------------------------------------
     # Introspection endpoints

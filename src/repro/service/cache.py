@@ -28,7 +28,7 @@ from typing import Optional
 
 from ..obs.tracer import current_tracer
 
-__all__ = ["LruMemo", "ResultCache", "ResultCacheStats"]
+__all__ = ["ResultCache", "ResultCacheStats"]
 
 
 @dataclass(frozen=True)
@@ -133,46 +133,3 @@ class ResultCache:
             return ResultCacheStats(self._hits, self._misses,
                                     self._evictions, len(self._entries),
                                     self.limit)
-
-
-class LruMemo:
-    """A small, generic, thread-safe LRU memo: hashable key → value.
-
-    The service keeps two of these on the hot path — schema source →
-    ``(fingerprint, Schema)`` and formula text → ``(Formula, canonical
-    key)`` — so a warm request never re-parses inputs the previous
-    thousand requests already parsed.  Unlike :class:`ResultCache` it has
-    no counters and no tracer: it memoizes *derivations* of the request
-    text, not answers, so its hit rate is not an interesting service
-    metric (it tracks the result cache's).
-    """
-
-    __slots__ = ("limit", "_lock", "_entries")
-
-    def __init__(self, limit: int = 256):
-        if limit < 1:
-            raise ValueError(f"memo limit must be positive, got {limit}")
-        self.limit = limit
-        self._lock = threading.Lock()
-        self._entries: OrderedDict = OrderedDict()
-
-    def get(self, key):
-        """The memoized value, or None (values are never None here)."""
-        with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
-                return None
-            self._entries.move_to_end(key)
-            return value
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.limit:
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)

@@ -8,6 +8,7 @@ directory — tests that want cross-run warmth share one explicitly.
 """
 
 import sys
+import threading
 
 import pytest
 
@@ -41,3 +42,37 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def race():
+    """``race(work)`` starts ``work(i)`` on eight threads at once, under a
+    one-microsecond thread switch interval so that unguarded
+    read-modify-write sequences interleave, and returns the exceptions
+    the threads raised."""
+    def run(work, threads: int = 8) -> list:
+        errors: list = []
+        start = threading.Barrier(threads)
+
+        def body(i: int) -> None:
+            start.wait()
+            try:
+                work(i)
+            except Exception as exc:  # noqa: BLE001 - reported to the test
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=body, args=(i,))
+                       for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        return errors
+
+    return run

@@ -311,6 +311,13 @@ class TestSchemaSession:
         assert schemas[0] in session
         assert schemas[1] not in session
 
+    def test_membership_by_fingerprint(self):
+        session = SchemaSession()
+        schema = parse_schema(GOOD_SOURCE)
+        session.reasoner(schema)
+        assert schema_fingerprint(schema) in session
+        assert schema_fingerprint(BAD_SOURCE) not in session
+
     def test_invalidate_one_and_all(self):
         session = SchemaSession()
         schema = parse_schema(GOOD_SOURCE)

@@ -199,7 +199,8 @@ class TestBatchExecutorPools:
 
 
 def _workload_queries():
-    """(schema source, class symbol) pairs over the workload generators."""
+    """(schema, class symbol) pairs over the workload generators, each
+    schema both as source text and as the parsed ``Schema``."""
     queries = []
     for schema in (clustered_schema(3, 3, seed=3),
                    hierarchy_schema(2, 3, seed=5),
@@ -208,6 +209,7 @@ def _workload_queries():
         source = render_schema(schema)
         for name in names[:3]:
             queries.append((source, name))
+            queries.append((schema, name))
     return queries
 
 
@@ -289,16 +291,33 @@ class TestSessionBatchApi:
         assert session.cache_info().hits > before
 
     def test_run_batch_parses_each_source_once(self, count_calls):
-        """Sharding parses each distinct source text once per batch (the
-        serial shard then resolves it through the session once more)."""
+        """Sharding parses each distinct source text once per batch and
+        hands the parsed schema on: a serial shard answers through the
+        session, and a thread-pool worker from the shipped schema, with
+        no parse or render of their own."""
         from repro.parser.parser import parse_schema
+        from repro.parser.printer import render_schema
 
+        schema, contradiction = parse_schema(GOOD), parse_schema(CONTRADICTION)
+        schema_fingerprint(contradiction)
         parses = count_calls(parse_schema)
+        renders = count_calls(render_schema)
         with SchemaSession() as session:
             outcomes = session.run_batch(
                 [(GOOD, "A" if i % 2 else "B") for i in range(50)])
-        assert all(outcome.verdict is True for outcome in outcomes)
-        assert len(parses) <= 2
+            assert (len(parses), len(renders)) == (1, 1)
+            for _ in range(10):
+                outcomes += session.run_batch([(GOOD, "A")])
+            assert (len(parses), len(renders)) == (11, 11)
+            for _ in range(10):
+                outcomes += session.run_batch([(schema, "B")])
+            assert (len(parses), len(renders)) == (11, 12)
+            outcomes += session.run_batch(
+                [(schema, "A"), (contradiction, "C")], jobs=2, mode="thread")
+            assert session._executor.pool_kind == "thread"
+        assert (len(parses), len(renders)) == (11, 12)
+        assert [o.verdict for o in outcomes[-2:]] == [True, False]
+        assert all(outcome.verdict is True for outcome in outcomes[:-1])
 
     def test_warm_returns_stats_in_order(self):
         session = SchemaSession()

@@ -39,7 +39,7 @@ from repro.expansion.expansion import (ExpansionSeed, build_expansion,
                                       is_binding)
 from repro.expansion.tables import build_tables
 from repro.obs.tracer import Tracer, use_tracer
-from repro.reasoner.satisfiability import AUGMENTED_CACHE_LIMIT, Reasoner
+from repro.reasoner.satisfiability import Reasoner
 from repro.workloads.generators import (clustered_schema, hierarchy_schema,
                                         random_schema)
 from repro.workloads.query_workloads import taxonomy_schema
@@ -430,10 +430,14 @@ class TestAugmentedEquivalence:
         assert Lit("N6", positive=False) not in reused.implied_literals("N1")
         assert_same_tables(reused, build_tables(new))
 
-    def test_verdict_cache_is_lru_bounded(self):
+    def test_verdict_cache_is_lru_bounded(self, monkeypatch):
+        from repro.reasoner import satisfiability
+
+        # A bound below the number of distinct formulas, so it binds.
+        monkeypatch.setattr(satisfiability, "AUGMENTED_CACHE_LIMIT", 4)
         schema = clustered_schema(2, 2, seed=3)
         reasoner = Reasoner(schema, config=EngineConfig(strategy="strategic"))
-        limit = AUGMENTED_CACHE_LIMIT
+        limit = satisfiability.AUGMENTED_CACHE_LIMIT
         names = sorted(schema.class_symbols)
         # Synthesize more distinct cross-cluster formulas than the cache
         # holds: (A_i ∧ B_j) over distinct cluster pairs, padded by repeats.
@@ -446,14 +450,43 @@ class TestAugmentedEquivalence:
                             positive=False), Lit(names[0]))),
             )))
         distinct = list(dict.fromkeys(formulas))
-        for formula in distinct:
+        *filling, extra = distinct
+        assert len(filling) > limit
+        for formula in filling:
             reasoner._augmented_satisfiable(formula)
-        assert len(reasoner._augmented_cache) <= limit
-        # A cached verdict is reused (hit keeps the entry at the MRU end).
-        last = distinct[-1]
-        assert last in reasoner._augmented_cache
-        reasoner._augmented_satisfiable(last)
-        assert next(reversed(reasoner._augmented_cache)) == last
+        assert len(reasoner._augmented_cache) == limit
+        # A hit refreshes the oldest entry, so the next miss evicts the
+        # one after it instead.
+        oldest, second = filling[-limit], filling[-limit + 1]
+        reasoner._augmented_satisfiable(oldest)
+        reasoner._augmented_satisfiable(extra)
+        assert reasoner._augmented_cache.get(second) is None
+        assert reasoner._augmented_cache.get(oldest) is not None
+
+    def test_verdict_cache_is_thread_safe(self, monkeypatch, race):
+        """Service threads share a reasoner, and the service's tracer:
+        verdict lookups must survive evictions by other threads (a cache
+        of two, three formulas)."""
+        from repro.reasoner import satisfiability
+
+        monkeypatch.setattr(satisfiability, "AUGMENTED_CACHE_LIMIT", 2)
+        schema = clustered_schema(2, 2, seed=3)
+        reasoner = Reasoner(schema, config=EngineConfig(strategy="strategic"))
+        names = sorted(schema.class_symbols)
+        formulas = [Formula((Clause((Lit(names[0]),)),
+                             Clause((Lit(names[-1]), Lit(name)))))
+                    for name in names[1:4]]
+
+        tracer = Tracer()
+
+        def work(offset: int) -> None:
+            with use_tracer(tracer):
+                for step in range(400):
+                    reasoner._augmented_satisfiable(
+                        formulas[(offset + step) % len(formulas)])
+
+        assert race(work) == []
+        assert len(reasoner._augmented_cache) == 2
 
 
 # ----------------------------------------------------------------------

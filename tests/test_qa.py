@@ -200,6 +200,22 @@ class TestRewriterHandcrafted:
         assert [render_query(d) for d in warm.disjuncts] == \
                [render_query(d) for d in cold.disjuncts]
 
+    def test_rewrite_cache_is_thread_safe(self, work_schema, race):
+        """Service threads share a schema's rewriter: lookups must survive
+        evictions by other threads (a cache of two, three queries)."""
+        reasoner = Reasoner(work_schema, config=NAIVE)
+        rewriter = QueryRewriter(reasoner.pipeline.closure_index(),
+                                 cache_limit=2)
+        queries = [parse_query(text, work_schema) for text in (
+            "q(x) :- Person(x)", "q(x) :- Dept(x)", "q(x) :- Employee(x)")]
+
+        def work(offset: int) -> None:
+            for step in range(2000):
+                rewriter.rewrite(queries[(offset + step) % len(queries)])
+
+        assert race(work) == []
+        assert len(rewriter._cache) == 2
+
 
 # ----------------------------------------------------------------------
 # Certain answers: handcrafted end-to-end cases

@@ -53,7 +53,8 @@ class TestPut:
     def test_each_put_parses_and_renders_once(self, tmp_path, count_calls):
         """The registry hands the session the schema it parsed, and every
         layer reads the fingerprint stored on it: one parse and one
-        canonical render per PUT, the artifact's fingerprint included."""
+        canonical render per PUT, the artifact's fingerprint included.
+        A version keeps that schema, so reads by ref do neither."""
         from repro.parser.parser import parse_schema
         from repro.parser.printer import render_schema
 
@@ -73,6 +74,14 @@ class TestPut:
         renders = count_calls(render_schema)
         modes = [registry.put("inv", source)[1].mode for source in sources]
         assert modes == ["fresh", "delta", "delta", "delta"]
+        assert len(parses) == len(renders) == len(sources)
+        # A re-put source shares the stored version's schema object.
+        assert registry.get("inv", version=3).schema is \
+            registry.get("inv", version=1).schema
+        for ref in ("inv@1", "inv@2", "inv", "inv@4") * 3:
+            assert registry.reasoner(ref).is_satisfiable("A")
+        registry.session.invalidate()  # the next read loads the artifact
+        assert registry.reasoner("inv@2").is_satisfiable("X")
         assert len(parses) == len(renders) == len(sources)
 
     def test_put_rejects_bad_names(self, registry):
@@ -356,9 +365,32 @@ class TestRegistryEndpoints:
         assert ["A", "B"] in data_of(response)["subsumptions"]
         response = call(service, "POST", "/v1/batch", {"queries": [
             {"schema_ref": "inv", "formula": "A"},
+            {"schema_ref": "ghost", "formula": "A"},
             {"schema": SCHEMA_V3, "formula": "A"}]})
         assert response.status == 200
-        assert data_of(response)["summary"]["ok"] == 2
+        data = data_of(response)
+        assert data["summary"]["ok"] == 2
+        assert data["summary"]["failed"] == 1
+        assert data["outcomes"][1]["error"]["exit_code"] == 67
+
+    def test_reads_by_ref_neither_parse_nor_render(self, service,
+                                                   count_calls):
+        from repro.parser.parser import parse_schema
+        from repro.parser.printer import render_schema
+
+        call(service, "PUT", "/v1/schemas/inv", {"schema": SCHEMA_V2})
+        parses = count_calls(parse_schema)
+        renders = count_calls(render_schema)
+        ref = {"schema_ref": "inv"}
+        for name in ("A", "B", "C"):
+            for path, body in (
+                    ("/v1/satisfiable", {**ref, "class": name}),
+                    ("/v1/query", {**ref, "query": f"q(x) :- {name}(x)"}),
+                    ("/v1/classify", ref),
+                    ("/v1/batch", {"queries": [{**ref, "formula": name}]})):
+                response = call(service, "POST", path, body)
+                assert response.status == 200, response.payload
+        assert (len(parses), len(renders)) == (0, 0)
 
     def test_missing_ref_is_404(self, service):
         response = call(service, "POST", "/v1/satisfiable",

@@ -267,7 +267,8 @@ class TestBatch:
     def test_oversized_batch_is_413(self):
         svc = ReproService(ServiceConfig(port=0, max_batch_queries=2))
         response = _dispatch(svc, "POST", "/v1/batch", {"queries": [
-            {"schema": DISJOINT_SCHEMA, "formula": "A"}] * 3})
+            {"schema": DISJOINT_SCHEMA, "formula": "A"}] * 3
+            + [{"schema_ref": "s@x", "formula": "A"}]})
         assert response.status == 413
 
 
