@@ -15,45 +15,48 @@ verdict (asserted here and property-tested in the test suite):
 
 import pytest
 
-from benchlib import render_table, timed
+from benchlib import Table, render_table, run_table, timed
 from repro.expansion.expansion import build_expansion
 from repro.linear.support import acceptable_support
-from repro.workloads.paper_schemas import figure2_schema
+from repro.workloads.paper_schemas import figure1_schema, figure2_schema
 
 
-@pytest.fixture(scope="module")
-def figure2_expansion():
-    return build_expansion(figure2_schema())
+def support_toggles_table() -> Table:
+    """Figure 2's support with propagation or column merging switched off
+    (best of 3 each, warm solver path); every variant must find the same
+    support."""
+    expansion = build_expansion(figure2_schema())
+    baseline = acceptable_support(expansion)  # also warms the solver path
+    rows = []
+    for label, kwargs in (("baseline", {}),
+                          ("no propagation", {"use_propagation": False}),
+                          ("no column merging", {"merge_columns": False})):
+        runs = [timed(lambda k=kwargs: acceptable_support(expansion, **k))
+                for _ in range(3)]
+        assert all(result.support == baseline.support for _, result in runs)
+        rows.append((label, min(seconds for seconds, _ in runs)))
+    return Table("Ablations — support computation on Figure 2",
+                 ["variant", "seconds"], rows)
+
+
+def binding_filter_table() -> Table:
+    """Expansion size with binding-entry filtering vs Definition 3.1
+    verbatim, on both paper figures."""
+    rows = []
+    for label, schema in (("Figure 1", figure1_schema()),
+                          ("Figure 2", figure2_schema())):
+        filtered = build_expansion(schema).size()
+        verbatim = build_expansion(schema, include_unconstrained=True).size()
+        rows.append((label, filtered, verbatim))
+    return Table("Ablations — binding-entry filtering (expansion size)",
+                 ["schema", "filtered", "Definition 3.1 verbatim"], rows)
 
 
 @pytest.mark.experiment("ablations")
-def test_ablation_propagation(benchmark, figure2_expansion):
-    """LP-only vs propagation+LP on Figure 2 — same support, fewer rounds."""
-    baseline = acceptable_support(figure2_expansion, use_propagation=False)
-    optimized = benchmark(
-        lambda: acceptable_support(figure2_expansion, use_propagation=True))
-    assert baseline.support == optimized.support
-
-
-@pytest.mark.experiment("ablations")
-def test_ablation_column_merging(benchmark, figure2_expansion):
-    """Merged vs per-unknown LP columns — same support, smaller LP."""
-
-    def measure():
-        merged_s, merged = timed(lambda: acceptable_support(
-            figure2_expansion, merge_columns=True))
-        unmerged_s, unmerged = timed(lambda: acceptable_support(
-            figure2_expansion, merge_columns=False))
-        return merged_s, merged, unmerged_s, unmerged
-
-    merged_s, merged, unmerged_s, unmerged = benchmark.pedantic(
-        measure, rounds=1, iterations=1)
-    print()
-    print(render_table(
-        "Ablation — column merging on Figure 2's Psi_S",
-        ["variant", "seconds"],
-        [("merged columns", merged_s), ("per-unknown columns", unmerged_s)]))
-    assert merged.support == unmerged.support
+def test_ablation_support_toggles(benchmark):
+    """Propagation and column merging each switched off: same support
+    (checked by the table function), measured cost."""
+    run_table(benchmark, support_toggles_table)
 
 
 @pytest.mark.experiment("ablations")
@@ -101,26 +104,9 @@ def test_ablation_table_deduction(benchmark):
 
 @pytest.mark.experiment("ablations")
 def test_ablation_binding_filter(benchmark):
-    """Definition 3.1 verbatim vs binding-entry filtering on Figure 1
-    (where every cardinality is the unconstrained default)."""
-    schema = figure2_schema()
-    from repro.workloads.paper_schemas import figure1_schema
-
-    fig1 = figure1_schema()
-
-    def measure():
-        rows = []
-        for label, s in (("Figure 1", fig1), ("Figure 2", schema)):
-            filtered = build_expansion(s)
-            verbatim = build_expansion(s, include_unconstrained=True)
-            rows.append((label, filtered.size(), verbatim.size()))
-        return rows
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print()
-    print(render_table(
-        "Ablation — binding-entry filtering (expansion size)",
-        ["schema", "filtered", "Definition 3.1 verbatim"], rows))
+    """Definition 3.1 verbatim vs binding-entry filtering (Figure 1 has
+    only the unconstrained default cardinality)."""
+    rows = run_table(benchmark, binding_filter_table)
     for _, filtered, verbatim in rows:
         assert filtered <= verbatim
     # Figure 1 is the dramatic case: no binding entries at all.

@@ -21,11 +21,10 @@ Three acceptance bars for the batch executor and its warm-start path:
 
 import os
 import pickle
-import time
 
 import pytest
 
-from benchlib import best_of, render_table
+from benchlib import Table, best_of, run_table, timed
 from repro.engine import EngineConfig, Pipeline, SchemaSession
 from repro.engine.artifact import _loads_without_gc
 from repro.parser.printer import render_schema
@@ -59,19 +58,88 @@ def _warm_interpreter():
     state, so timing a cold serial run against warm workers would
     overstate the speedup wildly.
     """
-    session = SchemaSession()
-    session.run_batch(_batch(size=9), jobs=1, mode="serial")
-    session.close()
+    _run(_batch(size=9), jobs=1, mode="serial")
 
 
 def _run(queries, jobs: int, mode: str):
-    session = SchemaSession()
-    try:
-        start = time.perf_counter()
-        outcomes = session.run_batch(queries, jobs=jobs, mode=mode)
-        return time.perf_counter() - start, outcomes
-    finally:
-        session.close()
+    with SchemaSession() as session:
+        return timed(lambda: session.run_batch(queries, jobs=jobs, mode=mode))
+
+
+def parallel_table() -> Table:
+    """The batch at growing worker counts: serial, then 2 and 4 process
+    workers (serial only on a 1-core host, where a pool can only lose).
+    Every query must succeed with the serial run's verdict."""
+    cores = os.cpu_count() or 1
+    queries = _batch()
+    _warm_interpreter()
+    rows = []
+    serial_s = serial = None
+    for jobs in ((1, 2, SPEEDUP_JOBS) if cores >= 2 else (1,)):
+        mode = "serial" if jobs == 1 else "process"
+        seconds, outcomes = _run(queries, jobs=jobs, mode=mode)
+        assert all(o.ok for o in outcomes), mode
+        if serial is None:
+            serial_s, serial = seconds, outcomes
+        assert [o.verdict for o in outcomes] == [o.verdict for o in serial]
+        rows.append((jobs, mode, seconds, serial_s / seconds,
+                     sum(o.ok for o in outcomes)))
+    return Table(f"Parallel batch — {N_SCHEMAS} adversarial schemas, serial "
+                 f"vs process pool ({cores} cores)",
+                 ["jobs", "mode", "seconds", "speedup", "ok"], rows)
+
+
+def cold_start_table() -> Table:
+    """Full Phase-1/2 build (best of 3) vs rehydrating its pickled
+    artifact (best of 5), for three adversarial schemas; the rehydrated
+    pipeline must reach the same support."""
+    _warm_interpreter()
+    config = EngineConfig()
+    rows = []
+    for seed in range(3):
+        schema = adversarial_schema(ADVERSARIAL_SIZE, seed=seed)
+
+        def build(schema=schema):
+            pipeline = Pipeline(schema, config)
+            pipeline.system
+            return pipeline
+
+        build_s = best_of(build, rounds=3)
+        payload = pickle.dumps(build().compile(),
+                               protocol=pickle.HIGHEST_PROTOCOL)
+        load_s = best_of(lambda: _loads_without_gc(payload), rounds=5)
+        rehydrated = Pipeline.from_artifact(_loads_without_gc(payload))
+        assert rehydrated.support.support == build().support.support
+        rows.append((f"adversarial({ADVERSARIAL_SIZE}, seed={seed})",
+                     build_s, load_s, build_s / load_s, len(payload)))
+    return Table("Cold start — full Phase-1/2 build vs artifact rehydration",
+                 ["schema", "build s", "load s", "speedup",
+                  "artifact bytes"], rows)
+
+
+def deadline_table() -> Table:
+    """A 50 ms deadline against the Theorem 4.1 EXPTIME reduction and a
+    trivial batch-mate: the first must time out (exit 75), the second
+    still get its verdict."""
+    reduction = machine_to_schema(parity_machine(), (0, 1, 0, 1), 6, 6)
+    queries = [
+        {"schema": render_schema(reduction.schema),
+         "formula": str(reduction.target)},
+        {"schema": "class A isa not B endclass class B endclass",
+         "formula": "A"},
+    ]
+    with SchemaSession() as session:
+        wall_s, (hard, easy) = timed(
+            lambda: session.run_batch(queries, deadline=0.05))
+    assert hard.timed_out and hard.error.exit_code == 75
+    assert easy.ok and easy.verdict is True
+    return Table("Parallel batch — 50 ms deadline vs EXPTIME reduction",
+                 ["query", "timed out", "steps", "duration s",
+                  "batch wall s"],
+                 [("EXPTIME reduction", hard.timed_out, hard.steps,
+                   hard.duration, wall_s),
+                  ("trivial batch-mate", easy.timed_out, easy.steps,
+                   easy.duration, wall_s)])
 
 
 @pytest.mark.experiment("parallel_batch")
@@ -80,28 +148,8 @@ def test_parallel_speedup_over_serial(benchmark):
     if cores < 2:
         pytest.skip(f"{cores}-core host: a process pool has no parallelism "
                     f"to measure, only fork/pickle overhead")
-    queries = _batch()
-
-    def measure():
-        _warm_interpreter()
-        serial_s, serial = _run(queries, jobs=1, mode="serial")
-        parallel_s, parallel = _run(queries, jobs=SPEEDUP_JOBS,
-                                    mode="process")
-        return serial_s, serial, parallel_s, parallel
-
-    serial_s, serial, parallel_s, parallel = benchmark.pedantic(
-        measure, rounds=1, iterations=1)
-    speedup = serial_s / parallel_s
-    print()
-    print(render_table(
-        f"parallel batch — {N_SCHEMAS} adversarial schemas, "
-        f"{SPEEDUP_JOBS} process workers vs serial",
-        ["mode", "seconds", "speedup", "ok"],
-        [("serial", serial_s, 1.0, sum(o.ok for o in serial)),
-         ("process", parallel_s, speedup, sum(o.ok for o in parallel))]))
-
-    assert all(o.ok for o in serial) and all(o.ok for o in parallel)
-    assert [o.verdict for o in serial] == [o.verdict for o in parallel]
+    rows = run_table(benchmark, parallel_table)
+    speedup = rows[-1][3]
     if cores >= SPEEDUP_JOBS:
         assert speedup >= SPEEDUP_BAR, (
             f"{SPEEDUP_JOBS}-worker speedup {speedup:.2f}x is below the "
@@ -110,73 +158,16 @@ def test_parallel_speedup_over_serial(benchmark):
 
 @pytest.mark.experiment("parallel_batch")
 def test_artifact_load_beats_full_build(benchmark):
-    _warm_interpreter()
-    schema = adversarial_schema(ADVERSARIAL_SIZE, seed=0)
-    config = EngineConfig()
-
-    def build():
-        pipeline = Pipeline(schema, config)
-        pipeline.system
-        return pipeline
-
-    def measure():
-        build_s = best_of(build, rounds=3)
-        payload = pickle.dumps(build().compile(),
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        load_s = best_of(lambda: _loads_without_gc(payload), rounds=5)
-        return build_s, load_s, payload
-
-    build_s, load_s, payload = benchmark.pedantic(
-        measure, rounds=1, iterations=1)
-    speedup = build_s / load_s
-    print()
-    print(render_table(
-        f"cold start — adversarial({ADVERSARIAL_SIZE}) Phase-1/2 build "
-        f"vs artifact rehydration",
-        ["path", "seconds", "speedup", "artifact bytes"],
-        [("full build", build_s, 1.0, "-"),
-         ("artifact load", load_s, speedup, len(payload))]))
-
-    # The rehydrated snapshot must also be a working pipeline, not just
-    # fast bytes: it has to reach the same support verdict.
-    rehydrated = Pipeline.from_artifact(_loads_without_gc(payload))
-    assert rehydrated.support.support == build().support.support
-    assert speedup >= COLD_START_BAR, (
-        f"artifact rehydration is only {speedup:.1f}x faster than the "
-        f"full build; below the {COLD_START_BAR}x acceptance bar, the "
-        f"disk cache is not paying for its complexity")
+    for label, _, _, speedup, _ in run_table(benchmark, cold_start_table):
+        assert speedup >= COLD_START_BAR, (
+            f"{label}: artifact rehydration is only {speedup:.1f}x faster "
+            f"than the full build; below the {COLD_START_BAR}x acceptance "
+            f"bar, the disk cache is not paying for its complexity")
 
 
 @pytest.mark.experiment("parallel_batch")
 def test_deadline_isolates_exptime_query(benchmark):
-    reduction = machine_to_schema(parity_machine(), (0, 1, 0, 1), 6, 6)
-    queries = [
-        {"schema": render_schema(reduction.schema),
-         "formula": str(reduction.target)},
-        {"schema": "class A isa not B endclass class B endclass",
-         "formula": "A"},
-    ]
-
-    def measure():
-        session = SchemaSession()
-        try:
-            start = time.perf_counter()
-            outcomes = session.run_batch(queries, deadline=0.05)
-            return time.perf_counter() - start, outcomes
-        finally:
-            session.close()
-
-    wall_s, outcomes = benchmark.pedantic(measure, rounds=1, iterations=1)
-    hard, easy = outcomes
-    print()
-    print(render_table(
-        "50 ms deadline vs Theorem 4.1 reduction schema",
-        ["query", "timed out", "steps", "duration s"],
-        [("EXPTIME reduction", hard.timed_out, hard.steps, hard.duration),
-         ("trivial", easy.timed_out, easy.steps, easy.duration)]))
-
-    assert hard.timed_out and hard.error.exit_code == 75
-    assert easy.ok and easy.verdict is True
+    wall_s = run_table(benchmark, deadline_table)[0][4]
     assert wall_s < 1.0, (
         f"50ms-deadline batch took {wall_s:.2f}s; budget checks are not "
         f"reaching the hot loops often enough")

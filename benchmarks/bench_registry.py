@@ -27,12 +27,14 @@ registry:
 
 import pytest
 
-from benchlib import best_of, render_table
+from benchlib import Table, best_of, run_table, timed
 from repro.core.formulas import Clause, Formula, Lit
 from repro.core.schema import ClassDef, Schema
-from repro.engine import EngineConfig, Pipeline, SchemaDelta
+from repro.engine import EngineConfig, Pipeline, SchemaDelta, SchemaSession
 from repro.obs.tracer import Tracer, use_tracer
+from repro.parser.printer import render_schema
 from repro.reasoner.satisfiability import Reasoner
+from repro.registry import SchemaRegistry
 from repro.workloads.generators import clustered_schema
 from tests.dense_reference import DenseReference
 
@@ -72,55 +74,93 @@ def _verdicts(pipeline: Pipeline) -> dict:
             for name in sorted(pipeline.schema.class_symbols)}
 
 
-def test_single_cluster_edit_beats_cold_rebuild():
+def _support(pipeline: Pipeline) -> set:
+    return {pipeline.system.unknowns[i] for i in pipeline.support.support}
+
+
+def revalidation_table() -> Table:
+    """Single-cluster edits against three wide clustered schemas: delta
+    revalidation through ``Pipeline.recompile_from`` vs the cold
+    Phase-1/Phase-2 rebuild (best of 3 each).  The revalidated pipeline
+    must rebuild exactly the edited cluster, reuse support blocks, and
+    agree with the cold build on every class verdict and on the maximal
+    support."""
+    rows = []
+    for n_clusters, cluster_size, seed in ((8, 4, 7), (10, 5, 3),
+                                           (12, 6, 1)):
+        old = clustered_schema(n_clusters, cluster_size, seed=seed)
+        previous = Pipeline(old, CONFIG)
+        _ = previous.support  # the registry's previous version, warm
+        new = _single_cluster_edit(old)
+        delta = SchemaDelta.between(old, new)
+        assert not delta.is_empty()
+
+        def run_delta():
+            pipeline = Pipeline.recompile_from(previous, delta, CONFIG)
+            _ = pipeline.support
+            return pipeline
+
+        def run_cold():
+            pipeline = Pipeline(new, CONFIG)
+            _ = pipeline.support
+            return pipeline
+
+        delta_s = best_of(run_delta, rounds=3)
+        cold_s = best_of(run_cold, rounds=3)
+        delta_pipeline, cold_pipeline = run_delta(), run_cold()
+        stats = delta_pipeline.delta_stats
+        assert stats["mode"] == "delta"
+        assert stats["clusters_rebuilt"] == 1
+        assert stats["clusters_reused"] == stats["clusters_total"] - 1
+        assert stats["support_blocks_reused"] > 0
+        label = f"clustered({n_clusters}, {cluster_size}, seed={seed})"
+        assert _verdicts(delta_pipeline) == _verdicts(cold_pipeline), label
+        assert _support(delta_pipeline) == _support(cold_pipeline), label
+        blocks_total = (stats["support_blocks_reused"]
+                        + stats["support_blocks_solved"])
+        rows.append((f"{stats['clusters_total']}x{cluster_size}",
+                     cold_s, delta_s, cold_s / delta_s if delta_s else 0.0,
+                     f"{stats['clusters_reused']}/{stats['clusters_total']}",
+                     f"{stats['support_blocks_reused']}/{blocks_total}"))
+    return Table("Registry revalidation — single-cluster edit vs cold rebuild "
+                 "(dense reference LP core, identical verdicts)",
+                 ["clusters", "cold s", "delta s", "speedup",
+                  "clusters reused", "blocks reused/total"], rows)
+
+
+def put_table() -> Table:
+    """``SchemaRegistry.put`` end to end: v1 (cold validation), an edited
+    v2 (delta revalidation that rebuilds one cluster), and v2 again
+    (fingerprint dedupe)."""
     old = clustered_schema(8, 4, seed=7)
-    previous = Pipeline(old, CONFIG)
-    _ = previous.support  # warm the interpreter before timing
-
     new = _single_cluster_edit(old)
-    delta = SchemaDelta.between(old, new)
-    assert not delta.is_empty()
+    rows, reports = [], []
+    with SchemaSession(CONFIG) as session:
+        registry = SchemaRegistry(session)
+        for label, source in (("put v1 (fresh)", render_schema(old)),
+                              ("put v2 (delta)", render_schema(new)),
+                              ("put v2 again (unchanged)",
+                               render_schema(new))):
+            seconds, (version, report) = timed(
+                lambda source=source: registry.put("wide", source))
+            reports.append(report)
+            rows.append((label, version.version, report.mode,
+                         f"{report.clusters_reused}/{report.clusters_total}",
+                         seconds))
+    assert [row[1:3] for row in rows] \
+        == [(1, "fresh"), (2, "delta"), (2, "unchanged")]
+    assert reports[1].clusters_rebuilt == 1
+    return Table("Registry revalidation — SchemaRegistry.put end to end",
+                 ["operation", "version", "mode", "clusters reused",
+                  "seconds"], rows)
 
-    def run_delta():
-        pipeline = Pipeline.recompile_from(previous, delta, CONFIG)
-        _ = pipeline.support
-        return pipeline
 
-    def run_cold():
-        pipeline = Pipeline(new, CONFIG)
-        _ = pipeline.support
-        return pipeline
-
-    delta_s = best_of(run_delta, rounds=3)
-    cold_s = best_of(run_cold, rounds=3)
-    speedup = cold_s / delta_s if delta_s else float("inf")
-
-    delta_pipeline = run_delta()
-    cold_pipeline = run_cold()
-    stats = delta_pipeline.delta_stats
-
-    print(render_table(
-        "Registry revalidation — single-cluster edit vs cold rebuild",
-        ["clusters", "cold s", "delta s", "speedup", "reused", "rebuilt"],
-        [(stats["clusters_total"], cold_s, delta_s, speedup,
-          stats["clusters_reused"], stats["clusters_rebuilt"])]))
-
-    assert stats["mode"] == "delta"
-    assert stats["clusters_rebuilt"] == 1
-    assert stats["clusters_reused"] == stats["clusters_total"] - 1
-    assert stats["support_blocks_reused"] > 0
-
-    # Verdict parity: same satisfiable classes, same maximal support.
-    assert _verdicts(delta_pipeline) == _verdicts(cold_pipeline)
-    delta_support = {delta_pipeline.system.unknowns[i]
-                     for i in delta_pipeline.support.support}
-    cold_support = {cold_pipeline.system.unknowns[i]
-                    for i in cold_pipeline.support.support}
-    assert delta_support == cold_support
-
-    assert speedup >= SPEEDUP_BAR, (
-        f"delta revalidation only {speedup:.1f}x over cold rebuild "
-        f"(bar {SPEEDUP_BAR}x)")
+def test_single_cluster_edit_beats_cold_rebuild(benchmark):
+    for label, _, _, speedup, _, _ in run_table(benchmark,
+                                                revalidation_table):
+        assert speedup >= SPEEDUP_BAR, (
+            f"delta revalidation only {speedup:.1f}x over cold rebuild "
+            f"on {label} clusters (bar {SPEEDUP_BAR}x)")
 
 
 def test_reuse_counters_flow_through_tracer():
@@ -140,40 +180,10 @@ def test_reuse_counters_flow_through_tracer():
     assert counters.get("registry.support_blocks_reused", 0) > 0
 
 
-def test_verdict_parity_across_sweep():
-    for n_clusters, cluster_size, seed in ((8, 4, 7), (10, 5, 3)):
-        old = clustered_schema(n_clusters, cluster_size, seed=seed)
-        pipeline = Pipeline(old, CONFIG)
-        _ = pipeline.support
-        new = _single_cluster_edit(old)
-        delta = SchemaDelta.between(old, new)
-
-        delta_pipeline = Pipeline.recompile_from(pipeline, delta, CONFIG)
-        _ = delta_pipeline.support
-        cold_pipeline = Pipeline(new, CONFIG)
-        _ = cold_pipeline.support
-        assert _verdicts(delta_pipeline) == _verdicts(cold_pipeline), (
-            f"verdict drift on clustered({n_clusters}, {cluster_size}, "
-            f"seed={seed})")
-
-
-def test_registry_update_reports_partial_rebuild():
-    from repro.engine import SchemaSession
-    from repro.parser.printer import render_schema
-    from repro.registry import SchemaRegistry
-
-    old = clustered_schema(6, 4, seed=7)
-    new = _single_cluster_edit(old)
-    with SchemaSession(CONFIG) as session:
-        registry = SchemaRegistry(session)
-        first, _ = registry.put("bench", render_schema(old))
-        second, report_obj = registry.put("bench", render_schema(new))
-    assert first.version == 1 and second.version == 2
-    report = report_obj.to_json()
-    assert report["mode"] == "delta"
-    clusters = report["clusters"]
-    assert clusters["rebuilt"] == 1
-    assert clusters["reused"] == clusters["total"] - 1
+def test_registry_update_reports_partial_rebuild(benchmark):
+    rows = run_table(benchmark, put_table)
+    reused, total = rows[1][3].split("/")
+    assert int(total) > 1 and int(reused) == int(total) - 1
 
 
 if __name__ == "__main__":

@@ -10,32 +10,30 @@ hierarchies and check (a) the compound count equals class count + 1 and
 
 import pytest
 
-from benchlib import is_subquadratic, render_table, timed
+from benchlib import Table, is_subquadratic, run_table, timed
 from repro import Reasoner
 from repro.expansion.enumerate import compound_classes
 from repro.expansion.graph import hierarchy_compound_classes
 from repro.workloads.generators import hierarchy_schema
 
 
+def hierarchies_table() -> Table:
+    """Phase 1 under ``"auto"`` on five balanced hierarchies."""
+    rows = []
+    for depth, branching in ((2, 2), (3, 2), (3, 3), (4, 3), (5, 3)):
+        schema = hierarchy_schema(depth, branching)
+        seconds, compounds = timed(
+            lambda s=schema: compound_classes(s, "auto"))
+        rows.append((f"{depth}/{branching}", len(schema.class_symbols),
+                     len(compounds), seconds))
+    return Table(
+        "Section 4.4 — generalization hierarchies (depth/branching)",
+        ["shape", "classes", "compounds", "seconds"], rows)
+
+
 @pytest.mark.experiment("section44")
 def test_hierarchy_polynomial_scaling(benchmark):
-    def measure():
-        rows = []
-        for depth, branching in ((2, 2), (3, 2), (3, 3), (4, 3)):
-            schema = hierarchy_schema(depth, branching)
-            n_classes = len(schema.class_symbols)
-            seconds, compounds = timed(
-                lambda s=schema: compound_classes(s, "auto"))
-            rows.append((f"{depth}/{branching}", n_classes,
-                         len(compounds), seconds))
-        return rows
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print()
-    print(render_table(
-        "Section 4.4 — balanced hierarchies (depth/branching)",
-        ["shape", "classes", "compound classes", "seconds"], rows))
-
+    rows = run_table(benchmark, hierarchies_table)
     for _, n_classes, n_compounds, _ in rows:
         # The paper's count: one compound class per class (plus the empty).
         assert n_compounds == n_classes + 1

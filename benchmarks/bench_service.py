@@ -15,16 +15,12 @@ Acceptance bars for ``repro serve``:
   query still gets its verdict.
 """
 
-import json
 import threading
-import time
-import urllib.error
-import urllib.request
 
 import pytest
 
 import loadgen
-from benchlib import render_table
+from benchlib import Table, request_json, run_table, timed
 from repro.parser.printer import render_schema
 from repro.reductions import machine_to_schema, parity_machine
 from repro.service import ReproService, ServiceConfig
@@ -44,117 +40,103 @@ PIPELINE = 32
 TRIALS = 3  # best-of: the bar is about capability, not scheduler luck
 
 
-def _post(base, path, body, headers=None, timeout=30):
-    request = urllib.request.Request(
-        base + path, data=json.dumps(body).encode(),
-        headers=headers or {}, method="POST")
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
-
-
-@pytest.mark.experiment("service")
-def test_warm_cache_throughput(benchmark):
-    def measure():
-        with ReproService(ServiceConfig(port=0)) as service:
-            # one cold miss, fully envelope-checked
-            warm = loadgen.run_load(
-                service.host, service.port, connections=1,
-                requests_per_connection=1, body=WARM_BODY)
-            assert warm.statuses == {200: 1}
-            serial = loadgen.run_load(
-                service.host, service.port, connections=1,
-                requests_per_connection=200, body=WARM_BODY)
-            best = None
-            for _ in range(TRIALS):
-                trial = loadgen.run_load(
-                    service.host, service.port, connections=CONNECTIONS,
-                    requests_per_connection=REQUESTS_PER_CONNECTION,
-                    pipeline=PIPELINE, body=WARM_BODY, validate="first")
-                if best is None or trial.rps > best.rps:
-                    best = trial
-            return serial, best, service.cache.stats(), \
-                service.latency.snapshot()
-
-    serial, concurrent, stats, histogram = benchmark.pedantic(
-        measure, rounds=1, iterations=1)
-    speedup = concurrent.rps / THREADED_BASELINE_RPS
-    print()
-    print(render_table(
-        "warm-cache throughput — POST /v1/satisfiable over keep-alive "
-        "HTTP",
+def throughput_table() -> Table:
+    """One cold miss, then warm repeats in serial lockstep on one
+    keep-alive connection and concurrently over pipelined connections
+    (best of ``TRIALS``).  Every response must be a 200 in a sound
+    envelope, and every warm request a result-cache hit."""
+    with ReproService(ServiceConfig(port=0)) as service:
+        cold = loadgen.run_load(service.host, service.port, connections=1,
+                                requests_per_connection=1, body=WARM_BODY)
+        serial = loadgen.run_load(service.host, service.port, connections=1,
+                                  requests_per_connection=200, body=WARM_BODY)
+        concurrent = None
+        for _ in range(TRIALS):
+            trial = loadgen.run_load(
+                service.host, service.port, connections=CONNECTIONS,
+                requests_per_connection=REQUESTS_PER_CONNECTION,
+                pipeline=PIPELINE, body=WARM_BODY, validate="first")
+            if concurrent is None or trial.rps > concurrent.rps:
+                concurrent = trial
+        stats = service.cache.stats()
+        histogram = service.latency.snapshot()
+    assert cold.statuses == {200: 1}
+    for drive in (serial, concurrent):
+        assert drive.statuses == {200: drive.requests}
+        assert drive.transport_errors == 0
+        assert drive.envelope_violations == 0
+    assert stats.misses == 1, "every warm request must reuse the one cold result"
+    assert histogram["count"] >= (1 + serial.requests
+                                  + concurrent.requests * TRIALS)
+    return Table(
+        "Query service — warm-cache throughput (POST /v1/satisfiable, "
+        "keep-alive)",
         ["drive", "requests", "req/s", "p50 ms", "p99 ms",
          "vs threaded baseline"],
-        [("PR 5 threaded baseline (1 conn, Connection: close)",
-          "-", THREADED_BASELINE_RPS, "-", "-", "1.0x"),
-         ("serial (1 conn, keep-alive, lockstep)",
-          serial.requests, serial.rps, serial.percentile_ms(0.50),
-          serial.percentile_ms(0.99),
-          f"{serial.rps / THREADED_BASELINE_RPS:.1f}x"),
-         (f"concurrent ({CONNECTIONS} conns, pipeline {PIPELINE})",
-          concurrent.requests, concurrent.rps,
-          concurrent.percentile_ms(0.50), concurrent.percentile_ms(0.99),
-          f"{speedup:.1f}x")]))
-
-    total = serial.requests + concurrent.requests * TRIALS + 1
-    assert serial.statuses == {200: serial.requests}
-    assert concurrent.statuses == {200: concurrent.requests}
-    assert serial.transport_errors == 0
-    assert concurrent.transport_errors == 0
-    assert serial.envelope_violations == 0
-    assert concurrent.envelope_violations == 0
-    assert stats.misses == 1, (
-        "every warm request must reuse the one cold result")
-    assert histogram["count"] >= total
-    assert concurrent.rps >= ABSOLUTE_FLOOR_RPS
-    assert speedup >= SPEEDUP_BAR, (
-        f"concurrent warm-cache throughput {concurrent.rps:.0f} req/s is "
-        f"only {speedup:.1f}x the {THREADED_BASELINE_RPS:.0f} req/s "
-        f"threaded baseline (bar: {SPEEDUP_BAR:.0f}x)")
+        [("PR 5 threaded baseline (1 conn, Connection: close)", "-",
+          THREADED_BASELINE_RPS, "-", "-", "1.0x")]
+        + [(label, drive.requests, drive.rps, drive.percentile_ms(0.50),
+            drive.percentile_ms(0.99),
+            f"{drive.rps / THREADED_BASELINE_RPS:.1f}x")
+           for label, drive in (
+               ("serial (1 conn, lockstep)", serial),
+               (f"concurrent ({CONNECTIONS} conns, pipeline {PIPELINE}, "
+                f"best of {TRIALS})", concurrent))])
 
 
-@pytest.mark.experiment("service")
-def test_budget_504_leaves_neighbors_unharmed(benchmark):
+def budget_table() -> Table:
+    """A 50 ms ``X-Repro-Timeout-Ms`` budget against the Theorem 4.1
+    reduction, with a trivial query sent alongside: the first must come
+    back 504 (sysexit 75, ``budget_exceeded``), the second 200 with its
+    verdict, both in sound envelopes."""
     reduction = machine_to_schema(parity_machine(), (0, 1, 0, 1), 6, 6)
     hard = {"schema": render_schema(reduction.schema),
             "formula": str(reduction.target)}
     easy = {"schema": DISJOINT_SCHEMA, "formula": "A"}
+    with ReproService(ServiceConfig(port=0)) as service:
+        base = f"http://{service.host}:{service.port}"
+        outcome = {}
 
-    def measure():
-        with ReproService(ServiceConfig(port=0)) as service:
-            base = f"http://{service.host}:{service.port}"
-            outcome = {}
+        def slow():
+            outcome["hard"] = request_json(
+                base, "/v1/satisfiable", hard,
+                headers={"X-Repro-Timeout-Ms": "50"})
 
-            def slow():
-                outcome["hard"] = _post(
-                    base, "/v1/satisfiable", hard,
-                    headers={"X-Repro-Timeout-Ms": "50"})
-
+        def both():
             thread = threading.Thread(target=slow)
-            start = time.perf_counter()
             thread.start()
-            outcome["easy"] = _post(base, "/v1/satisfiable", easy)
+            outcome["easy"] = request_json(base, "/v1/satisfiable", easy)
             thread.join(timeout=10)
-            return time.perf_counter() - start, outcome
 
-    wall_s, outcome = benchmark.pedantic(measure, rounds=1, iterations=1)
+        wall_s, _ = timed(both)
     hard_status, hard_payload = outcome["hard"]
     easy_status, easy_payload = outcome["easy"]
-    print()
-    print(render_table(
-        "50 ms budget vs Theorem 4.1 reduction over HTTP",
-        ["query", "status", "error code", "wall s"],
-        [("EXPTIME reduction", hard_status,
-          hard_payload.get("error", {}).get("code", "-"), wall_s),
-         ("trivial neighbor", easy_status, "-", wall_s)]))
-
     assert loadgen.check_envelope(hard_payload)
     assert loadgen.check_envelope(easy_payload)
     assert hard_status == 504
     assert hard_payload["error"]["sysexit"] == 75
     assert hard_payload["error"]["code"] == "budget_exceeded"
     assert easy_status == 200 and easy_payload["data"]["verdict"] is True
+    return Table("Query service — 50 ms budget vs EXPTIME reduction over HTTP",
+                 ["query", "status", "error code", "wall s"],
+                 [("EXPTIME reduction", hard_status,
+                   hard_payload["error"]["code"], wall_s),
+                  ("trivial neighbor", easy_status, "-", wall_s)])
+
+
+@pytest.mark.experiment("service")
+def test_warm_cache_throughput(benchmark):
+    rps = run_table(benchmark, throughput_table)[-1][2]
+    speedup = rps / THREADED_BASELINE_RPS
+    assert rps >= ABSOLUTE_FLOOR_RPS
+    assert speedup >= SPEEDUP_BAR, (
+        f"concurrent warm-cache throughput {rps:.0f} req/s is only "
+        f"{speedup:.1f}x the {THREADED_BASELINE_RPS:.0f} req/s threaded "
+        f"baseline (bar: {SPEEDUP_BAR:.0f}x)")
+
+
+@pytest.mark.experiment("service")
+def test_budget_504_leaves_neighbors_unharmed(benchmark):
+    wall_s = run_table(benchmark, budget_table)[0][3]
     assert wall_s < 1.0, (
         f"50ms-budget request took {wall_s:.2f}s to come back as 504")

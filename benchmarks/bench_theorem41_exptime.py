@@ -10,9 +10,33 @@ asserts the exponential shape; the timed case is a fixed medium instance.
 
 import pytest
 
-from benchlib import growth_ratios, is_superlinear, render_table, timed
+from benchlib import Table, growth_ratios, is_superlinear, run_table, timed
 from repro import Reasoner
 from repro.reductions import machine_to_schema, parity_machine, starts_with_one
+
+
+def growing_tape_table() -> Table:
+    """The parity machine at space bounds 1–3 (time bound S+1): schema
+    size, expansion size and verdict; every schema verdict must equal the
+    machine's."""
+    machine = parity_machine()
+    rows = []
+    for space in (1, 2, 3):
+        word = "1" * (space - 1)
+        time_bound = space + 1
+        reduction = machine_to_schema(machine, word, time_bound, space)
+        reasoner = Reasoner(reduction.schema)
+        seconds, verdict = timed(
+            lambda r=reasoner, t=reduction.target: r.is_satisfiable(t))
+        accepts = machine.accepts(word, time_bound, space)
+        assert verdict == accepts, f"space {space}"
+        rows.append((space, len(reduction.schema.class_symbols),
+                     len(reasoner.expansion.compound_classes),
+                     verdict, accepts, seconds))
+    return Table(
+        "Theorem 4.1 — TM reduction (parity machine), growing tape",
+        ["space S", "classes", "compounds", "schema verdict",
+         "machine verdict", "seconds"], rows)
 
 
 def decide(word: str, time_bound: int, space: int) -> bool:
@@ -36,32 +60,9 @@ def test_reduction_correctness_small(benchmark):
 
 @pytest.mark.experiment("theorem41")
 def test_exponential_expansion_in_space(benchmark):
-    """The paper's shape: compound classes grow exponentially with the tape.
-
-    Rows: space bound S; classes in the schema (polynomial in S); compound
-    classes in the expansion (exponential in S).
-    """
-    machine = parity_machine()
-
-    def measure():
-        rows = []
-        for space in (1, 2, 3):
-            word = "1" * (space - 1)
-            time_bound = space + 1
-            reduction = machine_to_schema(machine, word, time_bound, space)
-            reasoner = Reasoner(reduction.schema)
-            seconds, _ = timed(lambda r=reasoner, t=reduction.target:
-                               r.is_satisfiable(t))
-            rows.append((space, len(reduction.schema.class_symbols),
-                         len(reasoner.expansion.compound_classes), seconds))
-        return rows
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print()
-    print(render_table(
-        "Theorem 4.1 — parity machine, growing tape",
-        ["space S", "schema classes", "compound classes", "seconds"], rows))
-
+    """The paper's shape: the schema grows polynomially in the space bound
+    S, the compound classes of its expansion exponentially."""
+    rows = run_table(benchmark, growing_tape_table)
     schema_sizes = [r[1] for r in rows]
     compounds = [r[2] for r in rows]
     # Schema grows polynomially; the expansion outpaces it clearly.

@@ -13,7 +13,7 @@ Two workload families feed this bench:
 
 import pytest
 
-from benchlib import is_superlinear, render_table, timed
+from benchlib import Table, is_superlinear, run_table, timed
 from repro import Reasoner
 from repro.reductions import (
     IntersectionPattern,
@@ -25,29 +25,55 @@ from repro.reductions import (
 )
 
 
+def sat_table() -> Table:
+    """Fixed-ratio random 3SAT at 4–10 variables; every schema verdict
+    must equal the DPLL verdict."""
+    rows = []
+    for n_vars in (4, 6, 8, 10):
+        formula = random_cnf(n_vars, n_clauses=n_vars * 2, seed=7)
+        schema = cnf_to_schema(formula)
+        reasoner = Reasoner(schema)
+        seconds, verdict = timed(lambda r=reasoner: r.is_satisfiable("World"))
+        expected = dpll_satisfiable(formula) is not None
+        assert verdict == expected, f"{n_vars} variables"
+        rows.append((n_vars, len(schema.class_symbols),
+                     len(reasoner.expansion.compound_classes),
+                     verdict, expected, seconds))
+    return Table(
+        "Theorem 4.2a — 3SAT→CAR, ratio-2 random formulas",
+        ["vars", "classes", "compounds", "schema verdict", "DPLL verdict",
+         "seconds"], rows)
+
+
+def intersection_pattern_table() -> Table:
+    """Diagonal-2, off-diagonal-1 patterns at n = 2, 3 (feasible), then
+    one pairwise-infeasible 2x2 pattern; ``W`` must be satisfiable
+    exactly on the feasible ones.  n = 4 already takes minutes (the NP
+    blow-up is the point)."""
+    instances = []
+    for n in (2, 3):
+        matrix = [[2 if i == j else 1 for j in range(n)] for i in range(n)]
+        instances.append((n, IntersectionPattern.of(matrix), True))
+    instances.append(("2 (infeasible)",
+                      IntersectionPattern.of([[2, 3], [3, 3]]), False))
+    rows = []
+    for label, pattern, feasible in instances:
+        schema = pattern_to_schema(pattern)
+        reasoner = Reasoner(schema)
+        seconds, verdict = timed(lambda r=reasoner: r.is_satisfiable("W"))
+        assert verdict == feasible, label
+        rows.append((label, len(schema.class_symbols),
+                     len(reasoner.expansion.compound_classes), verdict,
+                     seconds))
+    return Table(
+        "Theorem 4.2b — Intersection Pattern (union- & negation-free)",
+        ["n", "classes", "compounds", "W satisfiable", "seconds"], rows)
+
+
 @pytest.mark.experiment("theorem42")
 def test_sat_reduction_scaling(benchmark):
     """Reasoning time/expansion vs variable count on fixed-ratio 3SAT."""
-
-    def measure():
-        rows = []
-        for n_vars in (4, 6, 8, 10):
-            formula = random_cnf(n_vars, n_clauses=n_vars * 2, seed=7)
-            schema = cnf_to_schema(formula)
-            reasoner = Reasoner(schema)
-            seconds, verdict = timed(
-                lambda r=reasoner: r.is_satisfiable("World"))
-            expected = dpll_satisfiable(formula) is not None
-            assert verdict == expected
-            rows.append((n_vars, len(schema.class_symbols),
-                         len(reasoner.expansion.compound_classes), seconds))
-        return rows
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print()
-    print(render_table(
-        "Theorem 4.2 — 3SAT→CAR, clause/variable ratio 2",
-        ["vars", "classes", "compound classes", "seconds"], rows))
+    rows = run_table(benchmark, sat_table)
     assert is_superlinear([r[1] for r in rows], [r[2] for r in rows])
 
 
@@ -92,25 +118,5 @@ def test_intersection_pattern_instances(benchmark, label, pattern, solvable):
 @pytest.mark.experiment("theorem42")
 def test_intersection_pattern_scaling(benchmark):
     """Schema growth with the number of sets n (quadratic classes, growing
-    reasoning cost)."""
-
-    def measure():
-        rows = []
-        # n = 4 already takes minutes (the NP blow-up is the point); keep
-        # the timed suite snappy and leave larger n to run_experiments.py.
-        for n in (2, 3):
-            matrix = [[2 if i == j else 1 for j in range(n)] for i in range(n)]
-            pattern = IntersectionPattern.of(matrix)
-            schema = pattern_to_schema(pattern)
-            reasoner = Reasoner(schema)
-            seconds, verdict = timed(lambda r=reasoner: r.is_satisfiable("W"))
-            rows.append((n, len(schema.class_symbols),
-                         len(reasoner.expansion.compound_classes),
-                         verdict, seconds))
-        return rows
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print()
-    print(render_table(
-        "Theorem 4.2 — Intersection Pattern, growing n",
-        ["n", "classes", "compound classes", "satisfiable", "seconds"], rows))
+    reasoning cost); the table function checks every verdict."""
+    run_table(benchmark, intersection_pattern_table)

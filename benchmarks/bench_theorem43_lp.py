@@ -9,7 +9,7 @@ system size; the measured times must stay under a quadratic envelope.
 
 import pytest
 
-from benchlib import is_subquadratic, render_table, timed
+from benchlib import Table, is_subquadratic, run_table, timed
 from repro.core.cardinality import Card
 from repro.core.formulas import Lit
 from repro.core.schema import Attr, ClassDef, Schema, inv
@@ -29,31 +29,31 @@ def ratio_cluster(index: int, fan: int) -> list[ClassDef]:
 
 
 def schema_with_clusters(n: int) -> Schema:
+    """``n`` ratio clusters with fans cycling through 2, 3, 4 — the
+    workload of this experiment and of ``bench_lp_backends.py``."""
     classes = []
     for i in range(n):
         classes.extend(ratio_cluster(i, fan=2 + (i % 3)))
     return Schema(classes)
 
 
+def support_table() -> Table:
+    """The default backend's support check at 2–32 clusters."""
+    rows = []
+    for n_clusters in (2, 4, 8, 16, 32):
+        system = build_system(build_expansion(schema_with_clusters(n_clusters)))
+        seconds, result = timed(lambda s=system: acceptable_support(s))
+        assert result.support  # every cluster is satisfiable
+        rows.append((n_clusters, system.size(), system.n_unknowns(),
+                     system.n_constraints(), seconds))
+    return Table(
+        "Theorem 4.3 — acceptable-solution check vs |Psi_S|",
+        ["clusters", "|Psi_S|", "unknowns", "disequations", "seconds"], rows)
+
+
 @pytest.mark.experiment("theorem43")
 def test_lp_phase_polynomial_in_system_size(benchmark):
-    def measure():
-        rows = []
-        for n_clusters in (2, 4, 8, 16):
-            schema = schema_with_clusters(n_clusters)
-            system = build_system(build_expansion(schema))
-            seconds, result = timed(lambda s=system: acceptable_support(s))
-            assert result.support  # every cluster is satisfiable
-            rows.append((n_clusters, system.size(), system.n_unknowns(),
-                         system.n_constraints(), seconds))
-        return rows
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print()
-    print(render_table(
-        "Theorem 4.3 — acceptable-solution check vs |Psi_S|",
-        ["clusters", "|Psi_S|", "unknowns", "disequations", "seconds"], rows))
-
+    rows = run_table(benchmark, support_table)
     sizes = [float(r[1]) for r in rows]
     times = [max(r[4], 1e-5) for r in rows]
     assert is_subquadratic(sizes, times, slack=4.0), (

@@ -9,30 +9,29 @@ growth — the upper-bound side of the paper's EXPTIME characterization.
 
 import pytest
 
-from benchlib import growth_ratios, is_superlinear, render_table, timed
+from benchlib import Table, growth_ratios, is_superlinear, run_table, timed
 from repro import Reasoner
 from repro.workloads.generators import adversarial_schema
 
 
+def adversarial_table() -> Table:
+    """End-to-end satisfiability of every class of ``adversarial_schema``
+    at 6–14 classes."""
+    rows = []
+    for n_classes in (6, 8, 10, 12, 14):
+        reasoner = Reasoner(adversarial_schema(n_classes, seed=4))
+        seconds, _ = timed(lambda r=reasoner: r.satisfiable_classes())
+        stats = reasoner.stats()
+        rows.append((n_classes, stats.compound_classes,
+                     stats.expansion_size, seconds))
+    return Table(
+        "Theorem 4.4 — adversarial single-cluster schemas",
+        ["classes", "compounds", "expansion", "seconds"], rows)
+
+
 @pytest.mark.experiment("theorem44")
 def test_exponential_growth_on_adversarial_schemas(benchmark):
-    def measure():
-        rows = []
-        for n_classes in (6, 8, 10, 12):
-            schema = adversarial_schema(n_classes, seed=4)
-            reasoner = Reasoner(schema)
-            seconds, _ = timed(lambda r=reasoner: r.satisfiable_classes())
-            stats = reasoner.stats()
-            rows.append((n_classes, stats.compound_classes,
-                         stats.expansion_size, seconds))
-        return rows
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print()
-    print(render_table(
-        "Theorem 4.4 — adversarial single-cluster schemas",
-        ["classes", "compound classes", "expansion", "seconds"], rows))
-
+    rows = run_table(benchmark, adversarial_table)
     classes = [float(r[0]) for r in rows]
     compounds = [float(r[1]) for r in rows]
     assert is_superlinear(classes, compounds, factor=2.0)

@@ -11,7 +11,7 @@ reified expansion wins by a growing factor.
 
 import pytest
 
-from benchlib import render_table
+from benchlib import Table, run_table
 from repro.core.cardinality import Card
 from repro.core.formulas import Clause, Formula, Lit
 from repro.core.schema import ClassDef, Part, RelationDef, RoleClause, RoleLiteral, Schema
@@ -49,28 +49,27 @@ def kary_schema(arity: int, variants: int = 2) -> Schema:
     return Schema(classes, [relation])
 
 
+def arity_table() -> Table:
+    """Compound relations and expansion size of ``kary_schema`` at K = 2–5,
+    before and after reification."""
+    rows = []
+    for arity in (2, 3, 4, 5):
+        schema = kary_schema(arity)
+        before = build_expansion(schema)
+        before_rel = sum(len(v) for v in before.compound_relations.values())
+        after = build_expansion(reify_nonbinary_relations(schema).schema)
+        after_rel = sum(len(v) for v in after.compound_relations.values())
+        rows.append((arity, before_rel, before.size(), after_rel,
+                     after.size()))
+    return Table(
+        "Theorem 4.5 — K-ary expansion, original vs reified",
+        ["arity K", "K-ary comp. rels", "expansion", "binary comp. rels",
+         "reified expansion"], rows)
+
+
 @pytest.mark.experiment("theorem45")
 def test_expansion_vs_arity(benchmark):
-    def measure():
-        rows = []
-        for arity in (2, 3, 4, 5):
-            schema = kary_schema(arity)
-            before = build_expansion(schema)
-            before_rel = sum(len(v) for v in before.compound_relations.values())
-            result = reify_nonbinary_relations(schema)
-            after = build_expansion(result.schema)
-            after_rel = sum(len(v) for v in after.compound_relations.values())
-            rows.append((arity, before_rel, before.size(),
-                         after_rel, after.size()))
-        return rows
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print()
-    print(render_table(
-        "Theorem 4.5 — K-ary expansion, original vs reified",
-        ["arity K", "K-ary compound rels", "expansion",
-         "binary compound rels", "reified expansion"], rows))
-
+    rows = run_table(benchmark, arity_table)
     # Binary case untouched; from arity 3 on the reified expansion wins and
     # the advantage widens with K (the crossover the theorem predicts).
     assert rows[0][1] == rows[0][3] or rows[0][4] <= rows[0][2]

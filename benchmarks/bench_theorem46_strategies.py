@@ -10,7 +10,7 @@ linearly in the number of clusters — the speedup the section promises.
 
 import pytest
 
-from benchlib import is_superlinear, render_table, timed
+from benchlib import Table, is_superlinear, run_table, timed
 from repro.engine.config import EngineConfig
 from repro.expansion.enumerate import naive_compound_classes, strategic_compound_classes
 from repro.reasoner.satisfiability import Reasoner
@@ -19,27 +19,26 @@ from repro.workloads.generators import clustered_schema
 CLUSTER_SIZE = 3
 
 
+def strategies_table() -> Table:
+    """Naive vs strategic enumeration on 1–6 clusters of 3 classes."""
+    rows = []
+    for n_clusters in (1, 2, 3, 4, 5, 6):
+        schema = clustered_schema(n_clusters, CLUSTER_SIZE, seed=11)
+        naive_seconds, naive = timed(
+            lambda s=schema: naive_compound_classes(s))
+        strategic_seconds, strategic = timed(
+            lambda s=schema: strategic_compound_classes(s))
+        rows.append((n_clusters * CLUSTER_SIZE, len(naive), naive_seconds,
+                     len(strategic), strategic_seconds))
+    return Table(
+        "Theorem 4.6 / §4.3 — naive vs strategic enumeration",
+        ["classes", "naive compounds", "naive s", "strategic compounds",
+         "strategic s"], rows)
+
+
 @pytest.mark.experiment("theorem46")
 def test_strategies_crossover(benchmark):
-    def measure():
-        rows = []
-        for n_clusters in (1, 2, 3, 4, 5):
-            schema = clustered_schema(n_clusters, CLUSTER_SIZE, seed=11)
-            naive_seconds, naive = timed(
-                lambda s=schema: naive_compound_classes(s))
-            strategic_seconds, strategic = timed(
-                lambda s=schema: strategic_compound_classes(s))
-            rows.append((n_clusters * CLUSTER_SIZE, len(naive),
-                         naive_seconds, len(strategic), strategic_seconds))
-        return rows
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print()
-    print(render_table(
-        "Theorem 4.6 — naive vs strategic compound-class enumeration",
-        ["classes", "naive compounds", "naive s",
-         "strategic compounds", "strategic s"], rows))
-
+    rows = run_table(benchmark, strategies_table)
     naive_counts = [float(r[1]) for r in rows]
     strategic_counts = [float(r[3]) for r in rows]
     # Naive grows exponentially with total classes, strategic linearly with

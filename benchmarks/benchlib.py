@@ -2,9 +2,12 @@
 
 Every benchmark regenerates one row-series of the paper's evaluation (which,
 for a 1994 PODS theory paper, means the *scaling shapes* its theorems
-assert).  The helpers here time pipeline stages, compute growth ratios, and
-render small aligned tables so the series can be eyeballed in the pytest
-output and transcribed into EXPERIMENTS.md.
+assert).  Each series is one *table function* in the ``bench_*.py`` module
+of its experiment: it builds the inputs, runs the workload, makes the
+correctness checks, and returns a :class:`Table`.  The module's tests
+assert their bars on its rows, and ``run_experiments.py`` prints and
+records the same tables.  The helpers here time pipeline stages, compute
+growth ratios, and render small aligned tables.
 """
 
 from __future__ import annotations
@@ -13,12 +16,23 @@ import json
 import os
 import platform
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 __all__ = ["timed", "best_of", "growth_ratios", "is_superlinear",
-           "is_subquadratic", "render_table", "Series", "Recorder"]
+           "is_subquadratic", "render_table", "run_table", "request_json",
+           "Series", "Table", "Recorder"]
+
+
+class Table(NamedTuple):
+    """One experiment table, as a table function returns it."""
+
+    title: str
+    headers: Sequence[str]
+    rows: list
 
 
 def timed(fn: Callable[[], object]) -> tuple[float, object]:
@@ -32,6 +46,20 @@ def best_of(fn: Callable[[], object], rounds: int = 3) -> float:
     """Minimum wall-clock over ``rounds`` calls — the noise-robust timing
     for speedup assertions."""
     return min(timed(fn)[0] for _ in range(rounds))
+
+
+def request_json(base: str, path: str, body: dict, method: str = "POST",
+                 headers: dict | None = None) -> tuple[int, dict]:
+    """One JSON request to a running service; returns ``(status,
+    envelope)`` for error statuses too."""
+    request = urllib.request.Request(
+        base + path, data=json.dumps(body).encode(), headers=headers or {},
+        method=method)
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
 
 
 @dataclass
@@ -154,6 +182,16 @@ class Recorder:
     def dump(self, path: str | Path) -> None:
         Path(path).write_text(
             json.dumps(self.document(), indent=2) + "\n", encoding="utf-8")
+
+
+def run_table(benchmark, table: Callable[..., Table], *args) -> list:
+    """Run one table function once under pytest-benchmark's ``benchmark``
+    fixture, print the table into the log, and return its rows for the
+    caller's bar assertions."""
+    result = benchmark.pedantic(table, args=args, rounds=1, iterations=1)
+    print()
+    print(render_table(*result))
+    return result.rows
 
 
 def render_table(title: str, headers: Sequence[str],

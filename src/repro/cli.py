@@ -77,6 +77,7 @@ from .core.budget import Budget, use_budget
 from .core.errors import CarError, LinearSystemError, ParseError
 from .core.schema import Schema
 from .engine.config import EngineConfig
+from .engine.executor import BatchExecutor
 from .engine.session import SchemaSession
 from .obs.tracer import NULL_TRACER, Tracer, use_tracer
 from .parser.parser import parse_schema
@@ -711,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker count (0 = one per CPU; 1 = serial)")
     batch.add_argument("--mode", default="auto",
-                       choices=("auto", "process", "thread", "serial"),
+                       choices=BatchExecutor.MODES,
                        help="worker pool flavor (auto: processes when "
                             "--jobs > 1)")
     batch.set_defaults(per_query_budget=True)

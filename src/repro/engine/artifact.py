@@ -22,9 +22,8 @@ the fix:
 Unpickling a snapshot is an order of magnitude cheaper than re-running
 Phase 1, so a rehydrated pipeline skips straight to support solving, or
 past it when the support was already solved at compile time.  The LP
-knobs (``lp_backend``, ``use_propagation``, ``merge_columns``) stay out
-of the key: the maximal support is unique, so every LP configuration
-shares one artifact.
+backend (``lp_backend``) stays out of the key: the maximal support is
+unique, so every backend shares one artifact.
 
 Cache failures never change verdicts: a missing, corrupt, truncated,
 version-mismatched, or config-mismatched entry is counted
@@ -106,9 +105,9 @@ def config_fingerprint(config: "EngineConfig") -> str:
     """A short hash of the config knobs a snapshot depends on.
 
     Only ``strategy`` and ``size_limit`` shape the stored stage products
-    (they steer the compound-class enumeration); the LP knobs, the cache
-    bounds, and the tracing switch do not, so configs differing only in
-    those share artifacts — e.g. the exact-sparse and float-fallback backends
+    (they steer the compound-class enumeration); the LP backend and the
+    cache bounds do not, so configs differing only in those share
+    artifacts — e.g. the exact-sparse and float-fallback backends
     rehydrate from the same file.
     """
     material = (f"v{ARTIFACT_SCHEMA_VERSION}"

@@ -45,9 +45,6 @@ class EngineConfig:
         (``"auto"``, ``"exact-sparse"``, ``"float-fallback"`` — see
         :mod:`repro.linear.backends`) or an
         :class:`~repro.linear.backends.LpBackend` instance.
-    use_propagation / merge_columns:
-        The two support-computation optimizations; disabled only by the
-        ablation benchmarks, never changing verdicts.
     session_cache_limit:
         Bound on the per-session LRU of warm reasoner pipelines.
     artifact_dir:
@@ -67,8 +64,6 @@ class EngineConfig:
     strategy: str = "auto"
     size_limit: Optional[int] = None
     lp_backend: str = "auto"
-    use_propagation: bool = True
-    merge_columns: bool = True
     session_cache_limit: int = 32
     artifact_dir: Optional[str] = field(default=None, compare=False)
 

@@ -313,8 +313,7 @@ def seed_delta(pipeline: "Pipeline", prev: "Pipeline",
 # Support-block reuse
 # ----------------------------------------------------------------------
 def merge_support(system: PsiSystem, seed: DeltaSupportSeed, *,
-                  backend, use_propagation: bool, merge_columns: bool,
-                  stats: Optional[dict] = None) -> SupportResult:
+                  backend, stats: Optional[dict] = None) -> SupportResult:
     """The support of ``system``, reusing verdicts of untouched blocks.
 
     A connected component of the new system (:meth:`PsiSystem.components
@@ -368,9 +367,8 @@ def merge_support(system: PsiSystem, seed: DeltaSupportSeed, *,
         active.extend(component)
 
     if active:
-        partial = acceptable_support(
-            system, backend, use_propagation=use_propagation,
-            merge_columns=merge_columns, restrict_to=sorted(active))
+        partial = acceptable_support(system, backend,
+                                     restrict_to=sorted(active))
         support = set(partial.support)
         values = dict(partial.solution)
         pin_log = list(partial.pin_log)

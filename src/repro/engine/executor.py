@@ -343,15 +343,17 @@ class BatchExecutor:
     :meth:`close`, to shut the pool down deterministically.
     """
 
-    _MODES = ("auto", "process", "thread", "serial")
+    #: The pool flavors ``mode`` accepts; ``repro batch --mode`` and
+    #: ``POST /v1/batch`` read this list.
+    MODES = ("auto", "process", "thread", "serial")
 
     def __init__(self, config: Optional[EngineConfig] = None, *,
                  jobs: Optional[int] = 1, mode: str = "auto",
                  deadline: Optional[float] = None,
                  max_steps: Optional[int] = None):
-        if mode not in self._MODES:
+        if mode not in self.MODES:
             raise CarError(f"unknown executor mode {mode!r}; expected one "
-                           f"of {', '.join(self._MODES)}")
+                           f"of {', '.join(self.MODES)}")
         if jobs is None:
             import os
 
@@ -513,16 +515,22 @@ class BatchExecutor:
         from .session import _as_schema, schema_fingerprint
 
         grouped: dict[str, tuple[Schema, list[tuple[int, Formula]]]] = {}
-        # One parse per distinct source text: queries repeat their schema.
-        parsed: dict[str, Schema] = {}
+        # One parse per distinct source text: queries repeat their schema,
+        # and a source that fails to parse keeps its error.
+        parsed: dict[str, Union[Schema, CarError]] = {}
         for index, raw in enumerate(queries):
             try:
                 query = BatchQuery.coerce(raw)
                 schema = query.schema
                 if isinstance(schema, str):
                     if schema not in parsed:
-                        parsed[schema] = _as_schema(schema)
+                        try:
+                            parsed[schema] = _as_schema(schema)
+                        except CarError as exc:
+                            parsed[schema] = exc
                     schema = parsed[schema]
+                    if isinstance(schema, CarError):
+                        raise schema
                 fingerprint = schema_fingerprint(schema)
             except CarError as exc:
                 outcomes[index] = QueryOutcome(

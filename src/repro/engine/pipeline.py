@@ -317,14 +317,8 @@ class Pipeline:
 
             return merge_support(
                 self.system, seed,
-                backend=self.config.lp_backend,
-                use_propagation=self.config.use_propagation,
-                merge_columns=self.config.merge_columns,
-                stats=self.delta_stats)
-        return acceptable_support(
-            self.system, backend=self.config.lp_backend,
-            use_propagation=self.config.use_propagation,
-            merge_columns=self.config.merge_columns)
+                backend=self.config.lp_backend, stats=self.delta_stats)
+        return acceptable_support(self.system, backend=self.config.lp_backend)
 
     # ------------------------------------------------------------------
     # Query-rewriting closure

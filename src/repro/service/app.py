@@ -79,6 +79,7 @@ from ..core.errors import BudgetExceeded, CarError, ParseError
 from ..core.lru import LruMemo
 from ..engine.artifact import ARTIFACT_SCHEMA_VERSION
 from ..engine.config import EngineConfig
+from ..engine.executor import BatchExecutor
 from ..engine.session import SchemaSession, schema_fingerprint
 from ..engine.stats import STATS_SCHEMA_VERSION
 from ..obs.tracer import TRACE_SCHEMA_VERSION, Tracer, use_tracer
@@ -93,9 +94,6 @@ __all__ = ["API_VERSION", "ServiceConfig", "ReproService"]
 
 #: The wire-envelope version every response carries.
 API_VERSION = 1
-
-#: Executor modes ``POST /v1/batch`` accepts (mirrors ``repro batch``).
-_BATCH_MODES = ("auto", "process", "thread", "serial")
 
 #: sysexit for wire-level failures that have no CarError behind them.
 _PROTOCOL_SYSEXITS = {400: 64, 404: 67, 405: 64, 408: 64, 413: 77,
@@ -812,9 +810,9 @@ class ReproService:
         if not isinstance(jobs, int) or jobs < 1:
             raise ParseError(f"batch 'jobs' must be a positive integer, "
                              f"got {jobs!r}")
-        if mode not in _BATCH_MODES:
+        if mode not in BatchExecutor.MODES:
             raise ParseError(f"batch 'mode' must be one of "
-                             f"{', '.join(_BATCH_MODES)}, got {mode!r}")
+                             f"{', '.join(BatchExecutor.MODES)}, got {mode!r}")
         outcomes = self.session.run_batch(
             queries, jobs=min(jobs, self.config.max_batch_jobs), mode=mode,
             deadline=deadline, max_steps=max_steps,

@@ -20,7 +20,7 @@ targets the rewriting cost drivers specifically:
   taxonomy, for end-to-end certain-answer evaluation.
 
 ``query_workload`` bundles the three shapes into one labeled suite for
-``benchmarks/bench_query.py`` and the ``run_experiments`` section.
+the table functions of ``benchmarks/bench_query.py``.
 """
 
 from __future__ import annotations

@@ -142,8 +142,7 @@ class TestCompiledSchema:
     def test_config_fingerprint_tracks_enumeration_knobs_only(self):
         base = EngineConfig()
         assert config_fingerprint(base) == config_fingerprint(
-            base.replace(lp_backend="exact-sparse", use_propagation=False,
-                         merge_columns=False, session_cache_limit=5))
+            base.replace(lp_backend="exact-sparse", session_cache_limit=5))
         assert config_fingerprint(base) != config_fingerprint(
             base.replace(strategy="naive"))
         assert config_fingerprint(base) != config_fingerprint(

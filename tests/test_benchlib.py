@@ -1,9 +1,14 @@
-"""Unit tests for the benchmark helper library."""
+"""Unit tests for the benchmark helper library and the experiment
+driver (``benchmarks/run_experiments.py``), run without any workload."""
 
+import inspect
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+import pytest
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+sys.path.insert(0, str(BENCHMARKS))
 
 from benchlib import (  # noqa: E402
     Series,
@@ -70,3 +75,31 @@ class TestRenderTable:
     def test_float_formatting(self):
         text = render_table("t", ["x"], [[0.000123456]])
         assert "0.0001235" in text or "0.0001234" in text
+
+
+class TestDriver:
+    @pytest.fixture(scope="class")
+    def driver(self):
+        import run_experiments
+
+        return run_experiments
+
+    def test_sections_resolve_to_bench_table_functions(self, driver):
+        seen = set()
+        for title, tables in driver.SECTIONS:
+            assert tables, title
+            for table in tables:
+                path = Path(inspect.getsourcefile(table))
+                assert path.parent == BENCHMARKS, (title, table)
+                assert path.name.startswith("bench_"), (title, table)
+                assert table.__module__ == path.stem
+                assert not table.__name__.startswith("test_")
+                assert table not in seen, f"{table.__name__} listed twice"
+                seen.add(table)
+
+    def test_only_without_a_matching_section_exits_2(self, driver, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            driver.main(["--only", "no-such-section"])
+        assert exit_info.value.code == 2
+        assert "no section title contains 'no-such-section'" \
+            in capsys.readouterr().err

@@ -294,7 +294,8 @@ class TestSessionBatchApi:
         """Sharding parses each distinct source text once per batch and
         hands the parsed schema on: a serial shard answers through the
         session, and a thread-pool worker from the shipped schema, with
-        no parse or render of their own."""
+        no parse or render of their own.  A source that fails to parse
+        is parsed once too, and every query on it gets the error."""
         from repro.parser.parser import parse_schema
         from repro.parser.printer import render_schema
 
@@ -315,9 +316,12 @@ class TestSessionBatchApi:
             outcomes += session.run_batch(
                 [(schema, "A"), (contradiction, "C")], jobs=2, mode="thread")
             assert session._executor.pool_kind == "thread"
-        assert (len(parses), len(renders)) == (11, 12)
+            failed = session.run_batch([("class ((", "A")] * 50)
+        assert (len(parses), len(renders)) == (12, 12)
         assert [o.verdict for o in outcomes[-2:]] == [True, False]
         assert all(outcome.verdict is True for outcome in outcomes[:-1])
+        assert [(o.index, o.error.kind, o.error.exit_code) for o in failed] \
+            == [(i, "ParseError", 65) for i in range(50)]
 
     def test_warm_returns_stats_in_order(self):
         session = SchemaSession()
