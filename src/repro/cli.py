@@ -435,6 +435,52 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     return exit_code
 
 
+#: The ``repro serve`` flags that set a :class:`ServiceConfig
+#: <repro.service.app.ServiceConfig>` field: (flag, field, type, metavar,
+#: help).  Their defaults are the dataclass's, so the two cannot drift.
+_SERVE_OPTIONS = (
+    ("--host", "host", str, None, "bind address"),
+    ("--port", "port", int, None,
+     "bind port (0 = ephemeral; the bound port is printed on startup)"),
+    ("--max-inflight", "max_inflight", int, "N",
+     "concurrent executions before queueing"),
+    ("--queue-depth", "queue_depth", int, "N", "waiting requests before 429"),
+    ("--queue-timeout", "queue_timeout_s", float, "SECONDS",
+     "longest a request may wait for a slot"),
+    ("--workers", "workers", int, "N",
+     "worker-pool threads behind the asyncio front end (0 = auto: "
+     "max-inflight + 2)"),
+    ("--pipeline-depth", "pipeline_depth", int, "N",
+     "max requests one connection may have parsed-but-unanswered (HTTP "
+     "pipelining)"),
+    ("--idle-timeout", "idle_timeout_s", float, "SECONDS",
+     "close connections idle (or trickling) longer than this"),
+    ("--max-header-bytes", "max_header_bytes", int, "N",
+     "reject request lines/header blocks larger than this with 431"),
+    ("--max-body-bytes", "max_body_bytes", int, "N",
+     "request bodies above this get 413"),
+    ("--cache-size", "cache_limit", int, "N", "result-cache entry bound"),
+    ("--max-timeout-ms", "max_timeout_ms", int, "MS",
+     "cap on the X-Repro-Timeout-Ms request header"),
+    ("--default-timeout-ms", "default_timeout_ms", int, "MS",
+     "per-request deadline when the client sends none (default: "
+     "unbounded)"),
+    ("--drain-grace", "drain_grace_s", float, "SECONDS",
+     "how long SIGTERM waits for in-flight requests"),
+)
+
+
+def _serve_config(args: argparse.Namespace):
+    """The :class:`~repro.service.app.ServiceConfig` of ``repro serve``'s
+    flags: each flag given overrides its field's default."""
+    from .service.app import ServiceConfig
+
+    return ServiceConfig(**{
+        field_name: getattr(args, field_name)
+        for _, field_name, _, _, _ in _SERVE_OPTIONS
+        if getattr(args, field_name) is not None})
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the HTTP query service until SIGTERM/SIGINT, then drain.
 
@@ -447,23 +493,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from .service.app import ReproService, ServiceConfig
+    from .service.app import ReproService
 
     try:
-        config = ServiceConfig(
-            host=args.host, port=args.port,
-            max_inflight=args.max_inflight,
-            queue_depth=args.queue_depth,
-            queue_timeout_s=args.queue_timeout,
-            workers=args.workers,
-            pipeline_depth=args.pipeline_depth,
-            idle_timeout_s=args.idle_timeout,
-            max_header_bytes=args.max_header_bytes,
-            max_body_bytes=args.max_body_bytes,
-            cache_limit=args.cache_size,
-            max_timeout_ms=args.max_timeout_ms,
-            default_timeout_ms=args.default_timeout_ms,
-            drain_grace_s=args.drain_grace)
+        config = _serve_config(args)
     except ValueError as exc:
         _write_err(f"error: {exc}")
         return 2
@@ -729,47 +762,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = subparsers.add_parser(
         "serve", help="run the HTTP query service (see repro.service)")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8750,
-                       help="bind port (0 = ephemeral; the bound port is "
-                            "printed on startup)")
-    serve.add_argument("--max-inflight", type=int, default=8, metavar="N",
-                       help="concurrent executions before queueing")
-    serve.add_argument("--queue-depth", type=int, default=16, metavar="N",
-                       help="waiting requests before 429")
-    serve.add_argument("--queue-timeout", type=float, default=0.5,
-                       metavar="SECONDS",
-                       help="longest a request may wait for a slot")
-    serve.add_argument("--workers", type=int, default=0, metavar="N",
-                       help="worker-pool threads behind the asyncio front "
-                            "end (0 = auto: max-inflight + 2)")
-    serve.add_argument("--pipeline-depth", type=int, default=16,
-                       metavar="N",
-                       help="max requests one connection may have "
-                            "parsed-but-unanswered (HTTP pipelining)")
-    serve.add_argument("--idle-timeout", type=float, default=30.0,
-                       metavar="SECONDS",
-                       help="close connections idle (or trickling) "
-                            "longer than this")
-    serve.add_argument("--max-header-bytes", type=int, default=32_768,
-                       metavar="N",
-                       help="reject request lines/header blocks larger "
-                            "than this with 431")
-    serve.add_argument("--max-body-bytes", type=int, default=1_000_000,
-                       metavar="N", help="request bodies above this get 413")
-    serve.add_argument("--cache-size", type=int, default=1024, metavar="N",
-                       help="result-cache entry bound")
-    serve.add_argument("--max-timeout-ms", type=int, default=30_000,
-                       metavar="MS",
-                       help="cap on the X-Repro-Timeout-Ms request header")
-    serve.add_argument("--default-timeout-ms", type=int, default=None,
-                       metavar="MS",
-                       help="per-request deadline when the client sends "
-                            "none (default: unbounded)")
-    serve.add_argument("--drain-grace", type=float, default=10.0,
-                       metavar="SECONDS",
-                       help="how long SIGTERM waits for in-flight requests")
+    for flag, field_name, kind, metavar, text in _SERVE_OPTIONS:
+        # No default here: an unset flag keeps ServiceConfig's own.
+        serve.add_argument(flag, dest=field_name, type=kind, metavar=metavar,
+                           help=text)
     serve.add_argument("--warm", action="append", default=[],
                        metavar="FILE",
                        help="schema file to pre-build pipelines for "

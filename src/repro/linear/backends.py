@@ -400,40 +400,40 @@ def _closed_form_round(system: PsiSystem,
 # ----------------------------------------------------------------------
 # Float-first core with exact fallback
 # ----------------------------------------------------------------------
-def solve_float_groups(groups, rows) -> Optional[list[float]]:
-    """HiGHS solve returning raw float group values, or None on failure."""
+def highs_solve(costs, rows, rhs, bounds) -> Optional[list[float]]:
+    """One HiGHS call: minimize ``costs · x`` subject to ``Σ row · x ≤ rhs``
+    per sparse row and the variable ``bounds``.  Returns the float optimum,
+    or None when SciPy is missing or the solve fails."""
     try:
         import numpy as np
         from scipy.optimize import linprog
         from scipy.sparse import csr_matrix
     except ImportError:
         return None
-    k = len(groups)
-    width = 2 * k
     data, row_idx, col_idx = [], [], []
-    b_ub = []
-    r = 0
-    for row in rows:
+    for r, row in enumerate(rows):
         for g, coeff in row.items():
             data.append(float(coeff))
             row_idx.append(r)
             col_idx.append(g)
-        b_ub.append(0.0)
-        r += 1
-    for g in range(k):
-        data.extend([-1.0, 1.0])
-        row_idx.extend([r, r])
-        col_idx.extend([g, k + g])
-        b_ub.append(0.0)
-        r += 1
-    a_ub = csr_matrix((data, (row_idx, col_idx)), shape=(r, width))
-    c = np.zeros(width)
-    c[k:] = -1.0  # maximize Σ t == minimize -Σ t
-    bounds = [(0, None)] * k + [(0, 1)] * k
-    outcome = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    a_ub = csr_matrix((data, (row_idx, col_idx)),
+                      shape=(len(rows), len(costs)))
+    outcome = linprog(np.asarray(costs, dtype=float), A_ub=a_ub, b_ub=rhs,
+                      bounds=bounds, method="highs")
     if not outcome.success:
         return None
-    return [float(outcome.x[g]) for g in range(k)]
+    return [float(value) for value in outcome.x]
+
+
+def solve_float_groups(groups, rows) -> Optional[list[float]]:
+    """The max-support LP over grouped columns on HiGHS: maximize ``Σ t``
+    with ``t_g ≤ x_g`` and ``t_g ≤ 1``.  Raw float group values, or None."""
+    k = len(groups)
+    t_rows = [{g: -1, k + g: 1} for g in range(k)]
+    values = highs_solve([0.0] * k + [-1.0] * k, list(rows) + t_rows,
+                         [0.0] * (len(rows) + k),
+                         [(0, None)] * k + [(0, 1)] * k)
+    return None if values is None else values[:k]
 
 
 def rationalize(values: list[float], max_denominator: int) -> list[Fraction]:
@@ -443,6 +443,19 @@ def rationalize(values: list[float], max_denominator: int) -> list[Fraction]:
         rational = Fraction(value).limit_denominator(max_denominator)
         snapped.append(rational if rational > Fraction(1, 10 ** 7) else Fraction(0))
     return snapped
+
+
+def rationalize_verified(floats: list[float], accept
+                         ) -> Optional[list[Fraction]]:
+    """The first rationalization of ``floats`` that ``accept`` vouches for
+    exactly, trying denominators up to 60, 10^4 and 10^9 in turn, or None.
+    Small denominators keep the integer witness (and so synthesized
+    models) small."""
+    for max_denominator in (60, 10 ** 4, 10 ** 9):
+        candidate = rationalize(floats, max_denominator)
+        if accept(candidate):
+            return candidate
+    return None
 
 
 def verify_rows(rows, values) -> bool:
@@ -538,13 +551,8 @@ class FloatFallbackBackend:
             bump_metric(metrics, "lp.degenerate_detections")
             floats = None
         if floats is not None:
-            # Prefer small-denominator rationalizations: they keep the
-            # integer witness (and therefore synthesized models) small.
-            for max_denominator in (60, 10 ** 4, 10 ** 9):
-                candidate = rationalize(floats, max_denominator)
-                if verify_rows(rows, candidate):
-                    values = candidate
-                    break
+            values = rationalize_verified(
+                floats, lambda candidate: verify_rows(rows, candidate))
             if values is None:
                 values = repair_float_witness(
                     groups, rows, rationalize(floats, 10 ** 9), metrics)

@@ -51,9 +51,11 @@ from ..expansion.expansion import Expansion
 from ..obs.tracer import current_tracer
 from .backends import (
     LpBackend,
+    _concentrated,
     get_backend,
     grouped_columns,
-    rationalize,
+    highs_solve,
+    rationalize_verified,
     verify_rows,
 )
 from .sparse import OPTIMAL, solve_sparse_lp
@@ -213,25 +215,20 @@ def _minimized_witness(system: PsiSystem, active: list[int],
     if not groups:
         return {}
     classes = system.class_unknown_indices()
-    is_class_group = [members[0] in classes for members in groups]
-
-    lower_rows: list[dict[int, int]] = []
-    for g, is_class in enumerate(is_class_group):
-        if is_class:
-            lower_rows.append({g: -1})  # -x_g ≤ -1
+    class_groups = [g for g, members in enumerate(groups)
+                    if members[0] in classes]
+    lower_rows = [{g: -1} for g in class_groups]  # -x_g ≤ -1
+    k = len(groups)
 
     values: Optional[list[Fraction]] = None
-    floats = _solve_float_min(groups, rows, lower_rows)
+    floats = highs_solve([1.0] * k, rows + lower_rows,
+                         [0.0] * len(rows) + [-1.0] * len(lower_rows),
+                         [(0, None)] * k)
     if floats is not None:
-        for max_denominator in (60, 10 ** 4, 10 ** 9):
-            candidate = rationalize(floats, max_denominator)
-            if (verify_rows(rows, candidate)
-                    and all(candidate[g] >= 1
-                            for g, c in enumerate(is_class_group) if c)):
-                values = candidate
-                break
+        values = rationalize_verified(floats, lambda candidate: (
+            verify_rows(rows, candidate)
+            and all(candidate[g] >= 1 for g in class_groups)))
     if values is None:
-        k = len(groups)
         outcome = solve_sparse_lp(
             dict.fromkeys(range(k), 1), rows + lower_rows,
             [0] * len(rows) + [-1] * len(lower_rows), k, maximize=False)
@@ -239,41 +236,7 @@ def _minimized_witness(system: PsiSystem, active: list[int],
             values = list(outcome.solution)
     if values is None:
         return None
-
-    per_unknown: dict[int, Fraction] = {}
-    zero = Fraction(0)
-    for members, value in zip(groups, values):
-        for var in members:
-            per_unknown[var] = zero
-        if value > 0:
-            per_unknown[members[0]] = value
-    return per_unknown
-
-
-def _solve_float_min(groups, rows, lower_rows) -> Optional[list[float]]:
-    """HiGHS: minimize Σ x subject to the grouped rows plus lower rows."""
-    try:
-        import numpy as np
-        from scipy.optimize import linprog
-        from scipy.sparse import csr_matrix
-    except ImportError:
-        return None
-    k = len(groups)
-    data, row_idx, col_idx = [], [], []
-    r = 0
-    for row in list(rows) + list(lower_rows):
-        for g, coeff in row.items():
-            data.append(float(coeff))
-            row_idx.append(r)
-            col_idx.append(g)
-        r += 1
-    b_ub = [0.0] * len(rows) + [-1.0] * len(lower_rows)
-    a_ub = csr_matrix((data, (row_idx, col_idx)), shape=(r, k))
-    outcome = linprog(np.ones(k), A_ub=a_ub, b_ub=b_ub,
-                      bounds=[(0, None)] * k, method="highs")
-    if not outcome.success:
-        return None
-    return [float(outcome.x[g]) for g in range(k)]
+    return _concentrated(groups, values, "minimized").values
 
 
 # ----------------------------------------------------------------------

@@ -80,7 +80,7 @@ class QueryRewriter:
                  cache_limit: int = REWRITE_CACHE_LIMIT):
         self._closure = closure
         # Shared by every service thread that queries this schema.
-        self._cache = LruMemo(cache_limit)
+        self._cache = LruMemo(cache_limit, "qa.rewrite_cache")
 
     @property
     def closure(self) -> ClosureIndex:
@@ -93,11 +93,9 @@ class QueryRewriter:
         key = render_query(seed)
         cached = self._cache.get(key)
         if cached is not None:
-            tracer.add("qa.rewrite_cache_hits")
             return RewriteResult(cached.disjuncts, cached.steps,
                                  cached.generated, cached.pruned,
                                  cached=True)
-        tracer.add("qa.rewrite_cache_misses")
         with tracer.span("qa.rewrite"):
             result = self._saturate(seed)
         self._cache.put(key, result)

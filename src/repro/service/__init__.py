@@ -3,10 +3,11 @@
 A stdlib-only HTTP service (``repro serve``): an asyncio keep-alive /
 pipelining front end (:class:`~repro.service.http.AsyncServiceServer`)
 feeding the socket-free application on a worker pool, with admission
-control, a fingerprint-keyed result cache, per-request cooperative
-budgets, and health/metrics introspection.  Every JSON body is the
-versioned v1 envelope (``api_version`` / ``request_id`` / ``ok`` /
-``data``-or-``error``):
+control, a fingerprint-keyed result cache (an
+:class:`~repro.core.lru.LruMemo`, the one bounded LRU every cache
+uses), per-request cooperative budgets, and health/metrics
+introspection.  Every JSON body is the versioned v1 envelope
+(``api_version`` / ``request_id`` / ``ok`` / ``data``-or-``error``):
 
 ========================  ==============================================
 endpoint                  answers
@@ -28,7 +29,6 @@ worker-pool → drain request flow.
 from ..core.lru import LruMemo
 from .admission import AdmissionController, AdmissionRejected, AdmissionStats
 from .app import API_VERSION, ReproService, ServiceConfig
-from .cache import ResultCache, ResultCacheStats
 from .http import AsyncServiceServer, HTTP_STATUS_BY_EXIT, Headers, \
     ServiceResponse, status_for_exit_code
 from .metrics import LatencyHistogram
@@ -44,8 +44,6 @@ __all__ = [
     "LatencyHistogram",
     "LruMemo",
     "ReproService",
-    "ResultCache",
-    "ResultCacheStats",
     "ServiceConfig",
     "ServiceResponse",
     "status_for_exit_code",

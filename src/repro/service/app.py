@@ -18,8 +18,9 @@ Request flow (see ``docs/architecture.md``)::
   with 429 + ``Retry-After``, oversized bodies with 413 — the reasoner
   never sees work the service cannot afford.  Time spent waiting in the
   admission queue is charged against the request's own budget.
-* **Result cache** (:mod:`repro.service.cache`): completed verdicts keyed
-  by ``(schema_fingerprint, formula)``; a repeat query never touches a
+* **Result cache** (an :class:`~repro.core.lru.LruMemo` named
+  ``service.result_cache``): completed verdicts keyed by
+  ``(schema_fingerprint, formula)``; a repeat query never touches a
   reasoner — and via :meth:`ReproService.try_fast_dispatch` it is
   answered directly on the event loop, skipping the worker pool.
 * **Artifact cache**: when the engine config carries an ``artifact_dir``
@@ -85,7 +86,6 @@ from ..engine.stats import STATS_SCHEMA_VERSION
 from ..obs.tracer import TRACE_SCHEMA_VERSION, Tracer, use_tracer
 from ..registry import RegistryConfig, SchemaRegistry
 from .admission import AdmissionController, AdmissionRejected
-from .cache import ResultCache
 from .http import AsyncServiceServer, ServiceResponse, new_request_id, \
     status_for_exit_code
 from .metrics import LatencyHistogram
@@ -211,7 +211,12 @@ class ReproService:
             max_inflight=self.config.max_inflight,
             max_queue=self.config.queue_depth,
             queue_timeout=self.config.queue_timeout_s)
-        self.cache = ResultCache(self.config.cache_limit)
+        # Verdicts and query answers, keyed by (schema fingerprint,
+        # canonical formula or query).  Only completed answers are cached:
+        # a budget trip depends on the client's budget, and an internal
+        # error must not become sticky.
+        self.cache = LruMemo(self.config.cache_limit, "service.result_cache",
+                             gauge=True)
         self.registry = SchemaRegistry(self.session, self.config.registry)
         self.latency = LatencyHistogram()
         self._schema_memo = LruMemo(limit=max(
@@ -337,7 +342,8 @@ class ReproService:
             _, formula_key = self._memo_formula(text)
         except Exception:  # noqa: BLE001 - fall back to the full path
             return None
-        verdict = self.cache.peek(fingerprint, formula_key)
+        # A probe: a miss here is counted by the worker path that follows.
+        verdict = self.cache.get((fingerprint, formula_key), count_miss=False)
         if verdict is None:
             return None
         return {"verdict": verdict, "cache": "hit",
@@ -704,7 +710,7 @@ class ReproService:
             raise ParseError(
                 "satisfiable body needs a 'formula' (or 'class') key")
         formula, key = self._memo_formula(formula_text)
-        cached = self.cache.get(fingerprint, key)
+        cached = self.cache.get((fingerprint, key))
         if cached is not None:
             return self._ok(200, request_id, {
                 "verdict": cached, "cache": "hit",
@@ -720,7 +726,7 @@ class ReproService:
                 status_for_exit_code(outcome.error.exit_code), request_id,
                 _snake(outcome.error.kind), outcome.error.message,
                 sysexit=outcome.error.exit_code, detail=detail)
-        self.cache.put(fingerprint, key, outcome.verdict)
+        self.cache.put((fingerprint, key), outcome.verdict)
         return self._ok(200, request_id, {
             "verdict": outcome.verdict, "cache": "miss",
             "schema_fingerprint": fingerprint, "formula": key,
@@ -756,7 +762,7 @@ class ReproService:
             key += "|db:" + _hashlib.sha256(
                 json.dumps(database, sort_keys=True).encode("utf-8")
             ).hexdigest()[:16]
-        cached = self.cache.get(fingerprint, key)
+        cached = self.cache.get((fingerprint, key))
         if cached is not None:
             return self._ok(200, request_id, {
                 **cached, "cache": "hit",
@@ -767,7 +773,7 @@ class ReproService:
         with use_budget(budget):
             answer = self.session.query(schema, query, database)
         data = answer.as_document()
-        self.cache.put(fingerprint, key, data)
+        self.cache.put((fingerprint, key), data)
         return self._ok(200, request_id, {
             **data, "cache": "miss", "schema_fingerprint": fingerprint})
 

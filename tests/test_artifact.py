@@ -424,6 +424,53 @@ class TestSessionIntegration:
                 True, session)
             assert payloads[0].artifact is None
 
+    def test_warm_hit_does_not_wait_behind_an_artifact_load(
+            self, tmp_path, monkeypatch):
+        """A miss unpickles its artifact outside the session LRU's lock:
+        a warm schema answers while another schema's load is stuck."""
+        config = EngineConfig(artifact_dir=str(tmp_path / "cache"))
+        warm = "class W endclass"
+        with SchemaSession(config) as session:
+            session.reasoner(warm)
+            entered, release = threading.Event(), threading.Event()
+            load = ArtifactCache.load
+
+            def blocked_load(cache, *args, **kwargs):
+                entered.set()
+                release.wait(30)
+                return load(cache, *args, **kwargs)
+
+            monkeypatch.setattr(ArtifactCache, "load", blocked_load)
+            miss = threading.Thread(target=session.reasoner, args=(SCHEMA,))
+            miss.start()
+            try:
+                assert entered.wait(10)
+                hit = threading.Thread(target=session.reasoner,
+                                       args=(warm,))
+                hit.start()
+                hit.join(timeout=5)
+                assert not hit.is_alive()
+            finally:
+                release.set()
+                miss.join(timeout=30)
+            assert SCHEMA in session
+
+    def test_rehydrated_closure_is_not_stored_again(self, tmp_path):
+        """Only the call that built a closure stores it: a restarted
+        session whose artifact holds the closure answers without a save."""
+        from repro.obs.tracer import Tracer, use_tracer
+
+        config = EngineConfig(artifact_dir=str(tmp_path / "cache"))
+        first, restarted = Tracer(), Tracer()
+        with SchemaSession(config) as session, use_tracer(first):
+            expected = session.query(SCHEMA, "q(x) :- Person(x)")
+        assert first.counter("artifact.save") >= 1
+        with SchemaSession(config) as session, use_tracer(restarted):
+            answer = session.query(SCHEMA, "q(x) :- Person(x)")
+        assert answer.as_document() == expected.as_document()
+        assert restarted.counter("artifact.load") == 1
+        assert restarted.counter("artifact.save") == 0
+
     def test_corrupt_cache_entry_never_changes_session_verdict(
             self, tmp_path):
         config = EngineConfig(artifact_dir=str(tmp_path / "cache"))

@@ -36,11 +36,12 @@ from repro.core.errors import (
     SemanticsError,
     SynthesisError,
 )
+from repro.core.lru import LruMemo
 from repro.engine.config import EngineConfig
 from repro.engine.session import SchemaSession
+from repro.obs.tracer import Tracer, use_tracer
 from repro.service.admission import AdmissionController, AdmissionRejected
 from repro.service.app import ReproService, ServiceConfig
-from repro.service.cache import ResultCache
 from repro.service.http import HTTP_STATUS_BY_EXIT, status_for_exit_code
 from tests.wire import check_envelope, unwrap, unwrap_error
 
@@ -307,6 +308,29 @@ class TestIntrospection:
         assert data["latency"]["count"] >= 1
         assert data["latency"]["p99_ms"] >= data["latency"]["p50_ms"]
 
+    def test_metrics_cache_objects_keep_their_keys(self, service):
+        """The wire shape of the two cache objects of ``/metrics``."""
+        _dispatch(service, "POST", "/v1/satisfiable",
+                  {"schema": DISJOINT_SCHEMA, "formula": "A"})
+        data = unwrap(_dispatch(service, "GET", "/metrics").payload)
+        assert set(data["result_cache"]) == {
+            "hits", "misses", "evictions", "hit_rate", "size", "limit"}
+        assert set(data["session"]) == {
+            "stats_schema", "hits", "misses", "evictions", "size", "limit",
+            "hit_rate"}
+
+    def test_fast_path_counts_a_hit_and_never_a_miss(self, service):
+        body = json.dumps({"schema": DISJOINT_SCHEMA,
+                           "formula": "A"}).encode()
+        route = ("POST", "/v1/satisfiable", {}, body)
+        assert service.try_fast_dispatch(*route) is None    # cold probe
+        assert service.dispatch(*route).status == 200       # the miss
+        assert service.try_fast_dispatch(*route).status == 200
+        stats = service.cache.stats()
+        assert (stats.hits, stats.misses) == (1, 1)
+        assert service.tracer.counter("service.result_cache_hits") == 1
+        assert service.tracer.counter("service.result_cache_misses") == 1
+
     def test_version_reports_every_schema_version(self, service):
         response = _dispatch(service, "GET", "/v1/version")
         assert response.status == 200
@@ -481,34 +505,71 @@ class TestAdmissionController:
 # The result cache
 # ----------------------------------------------------------------------
 class TestResultCache:
+    """The result cache is an :class:`LruMemo` keyed by ``(fingerprint,
+    formula)``; these pin the behaviour the service relies on."""
+
     def test_lru_eviction_and_counters(self):
-        cache = ResultCache(limit=2)
-        cache.put("f1", "A", True)
-        cache.put("f2", "A", False)
-        assert cache.get("f1", "A") is True   # f1 now most recent
-        cache.put("f3", "A", True)            # evicts f2
-        assert cache.get("f2", "A") is None
-        assert cache.get("f1", "A") is True
+        cache = LruMemo(2, "service.result_cache", gauge=True)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            cache.put(("f1", "A"), True)
+            cache.put(("f2", "A"), False)
+            assert cache.get(("f1", "A")) is True   # f1 now most recent
+            cache.put(("f3", "A"), True)            # evicts f2
+            assert cache.get(("f2", "A")) is None
+            assert cache.get(("f1", "A")) is True
         stats = cache.stats()
         assert stats.evictions == 1
         assert stats.size == 2
         assert stats.hits == 2 and stats.misses == 1
+        assert tracer.counter("service.result_cache_hits") == 2
+        assert tracer.counter("service.result_cache_misses") == 1
+        assert tracer.counter("service.result_cache_evictions") == 1
+        assert tracer.gauges["service.result_cache_size"] == 2
 
     def test_false_verdicts_are_cached(self):
-        cache = ResultCache()
-        cache.put("f", "A and B", False)
-        assert cache.get("f", "A and B") is False
+        cache = LruMemo()
+        cache.put(("f", "A and B"), False)
+        assert cache.get(("f", "A and B")) is False
+
+    def test_probe_counts_a_hit_but_never_a_miss(self):
+        cache = LruMemo(4)
+        assert cache.get(("f", "A"), count_miss=False) is None
+        cache.put(("f", "A"), True)
+        assert cache.get(("f", "A"), count_miss=False) is True
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (1, 0)
+
+    def test_peek_pop_and_clear_are_uncounted(self):
+        cache = LruMemo(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.peek("a") == 1             # recency unchanged ...
+        cache.put("c", 3)                       # ... so "a" is evicted
+        assert cache.peek("a") is None
+        assert cache.pop("b") == 2 and cache.pop("b") is None
+        assert cache.clear() == [3]
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.evictions, stats.size) \
+            == (0, 0, 1, 0)
+
+    def test_setdefault_keeps_the_first_value(self):
+        cache = LruMemo(2)
+        assert cache.setdefault("k", "first") == "first"
+        assert cache.setdefault("k", "second") == "first"
+        cache.put("k", "third")
+        assert cache.peek("k") == "third"
 
     def test_concurrent_access_is_safe(self):
-        cache = ResultCache(limit=8)
+        cache = LruMemo(8)
         failures = []
 
         def hammer(seed):
             try:
                 for i in range(300):
-                    key = f"fp{(seed + i) % 16}"
-                    cache.put(key, "A", True)
-                    cache.get(key, "A")
+                    key = (f"fp{(seed + i) % 16}", "A")
+                    cache.put(key, True)
+                    cache.get(key)
             except Exception as exc:  # noqa: BLE001
                 failures.append(exc)
 
@@ -520,6 +581,8 @@ class TestResultCache:
             thread.join()
         assert not failures
         assert len(cache) <= 8
+        stats = cache.stats()
+        assert stats.hits + stats.misses == 6 * 300
 
 
 # ----------------------------------------------------------------------
@@ -625,6 +688,38 @@ class TestSessionThreadSafety:
         info = session.cache_info()
         assert info.hits + info.misses == 8 * rounds
         assert info.size <= 2
+
+    def test_concurrent_misses_share_one_reasoner(self):
+        """Misses build outside the LRU's lock; threads that miss one
+        schema together still get one reasoner, the one kept."""
+        session = SchemaSession()
+        sources = [f"class A{i} isa not B endclass class B endclass"
+                   for i in range(5)]
+        barrier = threading.Barrier(8)
+        got = {source: [] for source in sources}
+
+        def miss():
+            for source in sources:
+                barrier.wait(timeout=10)
+                got[source].append(session.reasoner(source))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=miss) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for source, reasoners in got.items():
+            assert len(reasoners) == 8
+            assert len({id(reasoner) for reasoner in reasoners}) == 1
+            assert session.reasoner(source) is reasoners[0]
+        info = session.cache_info()
+        assert (info.hits + info.misses, info.size) == (45, 5)
 
     def test_concurrent_queries_agree_with_serial(self):
         from repro.parser.parser import parse_formula
@@ -790,6 +885,21 @@ class TestLiveHttp:
 # The serve subcommand: startup banner and graceful SIGTERM drain
 # ----------------------------------------------------------------------
 class TestServeCommand:
+    def test_no_flags_build_the_default_config(self):
+        from repro.cli import _serve_config, build_parser
+
+        args = build_parser().parse_args(["serve"])
+        assert _serve_config(args) == ServiceConfig()
+
+    def test_flags_override_their_fields(self):
+        from repro.cli import _serve_config, build_parser
+
+        args = build_parser().parse_args(
+            ["serve", "--cache-size", "7", "--queue-timeout", "0.25",
+             "--default-timeout-ms", "900"])
+        assert _serve_config(args) == ServiceConfig(
+            cache_limit=7, queue_timeout_s=0.25, default_timeout_ms=900)
+
     def test_sigterm_drains_and_exits_zero(self):
         src = str((os.path.dirname(os.path.dirname(__file__))) + "/src")
         env = dict(os.environ)

@@ -223,8 +223,8 @@ class TestMinimizedWitnessParity:
 
     @pytest.fixture(autouse=True)
     def exact_path_only(self, monkeypatch):
-        monkeypatch.setattr(support_module, "_solve_float_min",
-                            lambda groups, rows, lower_rows: None)
+        monkeypatch.setattr(support_module, "highs_solve",
+                            lambda costs, rows, rhs, bounds: None)
 
     @staticmethod
     def minimized(schema):
