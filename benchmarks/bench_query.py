@@ -21,11 +21,16 @@ Acceptance bars for the conjunctive-query answering subsystem behind
   (``qa.rewrite_cache_hits`` / ``qa.rewrite_cache_misses`` /
   ``qa.rewrite_steps``) — the service's ``/metrics`` endpoint
   republishes these.
+* **Data scaling** — certain answers of two chain queries over
+  ``sample_database`` grow no faster than ``DATA_SCALING_FACTOR`` times
+  the data from 1,600 to 25,600 objects: evaluation joins through hash
+  indexes, so its work follows the rows the probes return.
 """
 
 import pytest
 
-from benchlib import Table, best_of, request_json, run_table, timed
+from benchlib import (Table, best_of, is_superlinear, request_json,
+                      run_table, timed)
 from repro.obs.tracer import Tracer, use_tracer
 from repro.parser.printer import render_schema
 from repro.qa import QueryRewriter, certain_answers, parse_query
@@ -33,6 +38,7 @@ from repro.qa.data import database_from_document
 from repro.reasoner.satisfiability import Reasoner
 from repro.service import ReproService, ServiceConfig
 from repro.workloads.query_workloads import (
+    chain_queries,
     query_workload,
     sample_database,
     taxonomy_schema,
@@ -40,6 +46,15 @@ from repro.workloads.query_workloads import (
 
 #: CI-safe floor; the measured ratios are far larger.
 WARM_SPEEDUP_BAR = 5.0
+
+#: Database sizes (objects) of the data-scaling table; the bar covers
+#: the sizes from ``DATA_SCALING_FROM`` on, where fixed per-query costs
+#: no longer dominate.
+DATA_SCALING_SIZES = (100, 400, 1600, 6400, 25600)
+DATA_SCALING_FROM = 1600
+#: Allowed growth of a query's time over the data's growth (16x objects
+#: may cost at most 48x the time); a nested-loop scan grows quadratically.
+DATA_SCALING_FACTOR = 3.0
 
 
 def rewriting_table() -> Table:
@@ -114,6 +129,40 @@ def certain_answers_table() -> Table:
         [(shape, *totals) for shape, totals in sorted(per_shape.items())])
 
 
+def data_scaling_table() -> Table:
+    """Certain answers of the first two
+    ``chain_queries(taxonomy_schema(2, 2), 5, 2, seed=3)`` over
+    ``sample_database(schema, n, seed=1)`` as ``n`` grows (warm rewrite
+    cache, best of 3; the database is loaded outside the timing)."""
+    schema = taxonomy_schema(2, 2)
+    reasoner = Reasoner(schema)
+    rewriter = QueryRewriter(reasoner.pipeline.closure_index())
+    queries = [parse_query(source, schema)
+               for source in chain_queries(schema, 5, 2, seed=3)[:2]]
+    for query in queries:
+        rewriter.rewrite(query)
+    rows = []
+    for n_objects in DATA_SCALING_SIZES:
+        document = sample_database(schema, n_objects, seed=1)
+        database = database_from_document(schema, document)
+        for number, query in enumerate(queries, start=1):
+            tracer = Tracer()
+            with use_tracer(tracer):
+                answer = certain_answers(rewriter, query, database,
+                                         reasoner=reasoner)
+            seconds = best_of(lambda q=query: certain_answers(
+                rewriter, q, database, reasoner=reasoner), rounds=3)
+            rows.append((n_objects, len(document["relations"]), number,
+                         len(answer.answers),
+                         tracer.counter("qa.rows_probed"),
+                         seconds))
+    return Table(
+        "Certain answers vs data size — two chain queries on "
+        "taxonomy_schema(2, 2)",
+        ["objects", "tuples", "query", "answers", "rows probed",
+         "seconds"], rows)
+
+
 def wire_table() -> Table:
     """``PUT /v1/schemas`` once, then ``POST /v1/query`` by
     ``schema_ref``: a cold miss, then result-cache hits."""
@@ -170,6 +219,19 @@ def test_workload_certain_answers_end_to_end(benchmark):
     # of the suite has a non-empty certain answer.
     rows = run_table(benchmark, certain_answers_table)
     assert sum(row[3] for row in rows) > 0
+
+
+def test_certain_answers_scale_with_the_data(benchmark):
+    rows = run_table(benchmark, data_scaling_table)
+    for number in {row[2] for row in rows}:
+        series = [row for row in rows
+                  if row[2] == number and row[0] >= DATA_SCALING_FROM]
+        sizes = [row[0] for row in series]
+        seconds = [row[-1] for row in series]
+        assert not is_superlinear(sizes, seconds,
+                                  factor=DATA_SCALING_FACTOR), (
+            f"query {number}: {seconds} s over {sizes} objects grows "
+            f"faster than {DATA_SCALING_FACTOR}x the data")
 
 
 def test_query_by_schema_ref_hits_the_result_cache(benchmark):

@@ -12,8 +12,8 @@ One section per experiment of the DESIGN.md index (Figures 1–2,
 Theorems 4.1–4.6, Section 4.4), plus the engine sections (expansion
 pipeline, sessions, batches, service, queries, registry, LP backends).
 
-``--only KEYWORD`` restricts the run to sections whose title contains the
-keyword (case-insensitive); ``--json PATH`` additionally records every
+``--only KEYWORD`` restricts the run to sections whose title starts with
+the keyword (case-insensitive); ``--json PATH`` additionally records every
 table into a machine-readable document (see ``benchlib.Recorder``), the
 format committed as ``BENCH_expansion.json``:
 
@@ -82,7 +82,7 @@ SECTIONS = [
      (service.throughput_table, service.budget_table)),
     ("Query answering (CQ rewriting, certain answers, /v1/query)",
      (query.rewriting_table, query.certain_answers_table,
-      query.wire_table)),
+      query.data_scaling_table, query.wire_table)),
     ("Registry revalidation (delta rebuild vs cold)",
      (registry.revalidation_table, registry.put_table)),
     ("LP backends (sparse fraction-free vs dense exact, Section 4.4)",
@@ -106,7 +106,7 @@ def main(argv: Optional[list] = None) -> None:
         description="Regenerate the experiment tables for EXPERIMENTS.md.")
     parser.add_argument(
         "--only", metavar="KEYWORD",
-        help="run only sections whose title contains KEYWORD "
+        help="run only sections whose title starts with KEYWORD "
              "(case-insensitive)")
     parser.add_argument(
         "--json", metavar="PATH",
@@ -126,9 +126,9 @@ def main(argv: Optional[list] = None) -> None:
     if args.only:
         keyword = args.only.lower()
         sections = [(title, tables) for title, tables in SECTIONS
-                    if keyword in title.lower()]
+                    if title.lower().startswith(keyword)]
         if not sections:
-            parser.error(f"no section title contains {args.only!r}")
+            parser.error(f"no section title starts with {args.only!r}")
 
     global RECORDER
     if args.json:

@@ -17,7 +17,8 @@ that exploits this:
   ``config.session_cache_limit`` entries, traced as ``session.cache_*``),
   so an evolving fleet of schemas cannot exhaust memory; a miss builds
   under its entry's lock, not the LRU's, so it never stalls another
-  schema's hit, and concurrent callers of one schema share one build;
+  schema's hit, and concurrent callers of one schema share one build —
+  each waiting no longer than its own budget's deadline;
 * batched entry points (:meth:`SchemaSession.check_many`,
   :meth:`SchemaSession.classify`) reuse **one** support computation — and,
   since the reasoner's augmented queries rebuild through
@@ -43,9 +44,11 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
 
-from ..core.errors import CarError
+from ..core.budget import current_budget
+from ..core.errors import BudgetExceeded, CarError
 from ..core.formulas import FormulaLike
 from ..core.lru import LruMemo
 from ..core.schema import Schema
@@ -138,9 +141,9 @@ def _build_reasoner(schema: Schema, fingerprint: str, config: EngineConfig,
 
 
 class _Entry:
-    """One schema's warm state, the unit of the session LRU: its reasoner,
-    built once under the entry's own lock, and, once a query asks for it,
-    the query rewriter over its closure."""
+    """One schema's warm state, the unit of the session LRU: its reasoner
+    and, once a query asks for it, the query rewriter over its closure,
+    each built once under the entry's own lock (:meth:`building`)."""
 
     __slots__ = ("lock", "reasoner", "rewriter")
 
@@ -148,6 +151,25 @@ class _Entry:
         self.lock = threading.Lock()
         self.reasoner = reasoner
         self.rewriter = None
+
+    @contextmanager
+    def building(self) -> Iterator[None]:
+        """Hold the entry's lock for a build, waiting no longer than the
+        ambient budget's deadline: a caller whose time runs out behind
+        another caller's build raises
+        :class:`~repro.core.errors.BudgetExceeded`."""
+        budget = current_budget()
+        remaining = budget.remaining_seconds()
+        if not self.lock.acquire(timeout=-1 if remaining is None
+                                 else remaining):
+            raise BudgetExceeded(
+                f"deadline of {budget.deadline:g}s exceeded waiting for "
+                f"another request's build of the same schema",
+                steps=budget.steps, deadline=budget.deadline)
+        try:
+            yield
+        finally:
+            self.lock.release()
 
 
 class SchemaSession:
@@ -194,7 +216,7 @@ class SchemaSession:
         if entry.reasoner is None:
             # Under the entry's lock, not the LRU's: a disk artifact load
             # holds up only the callers of this schema, and they share it.
-            with entry.lock:
+            with entry.building():
                 if entry.reasoner is None:
                     entry.reasoner = _build_reasoner(
                         schema, key, self.config, self._artifact_cache)
@@ -482,8 +504,10 @@ class SchemaSession:
         JSON document shape of :func:`~repro.qa.data.database_from_document`,
         or None (schema-only entailment).  The schema's
         :class:`~repro.qa.rewriter.QueryRewriter` — and with it the
-        rewrite cache — is built on the first query and kept in the
-        schema's LRU entry next to its reasoner.  Returns a
+        rewrite cache and the class-combination memo — is built once, by
+        the first query, and kept in the schema's LRU entry next to its
+        reasoner; concurrent first queries wait for that build, each no
+        longer than its budget's deadline.  Returns a
         :class:`~repro.qa.evaluator.QueryAnswer`.
         """
         from ..qa import certain_answers, database_from_document, parse_query
@@ -492,7 +516,9 @@ class SchemaSession:
         entry = self._entry(_as_schema(schema))
         reasoner = entry.reasoner
         if entry.rewriter is None:
-            entry.rewriter = self._new_rewriter(reasoner.pipeline)
+            with entry.building():
+                if entry.rewriter is None:
+                    entry.rewriter = self._new_rewriter(reasoner.pipeline)
         if isinstance(query, str):
             query = parse_query(query, reasoner.schema)
         else:

@@ -73,7 +73,9 @@ class QueryRewriter:
     :func:`~repro.qa.closure.build_closure_index` — and hold the
     per-schema rewrite cache, keyed by the canonical rendering of the
     input query (the schema-fingerprint half of the documented cache key
-    is the rewriter's identity).
+    is the rewriter's identity), and the schema's memo of class
+    combination verdicts.  Pass :func:`~repro.qa.evaluator.certain_answers`
+    a reasoner over the same schema, or the memo mixes two schemas.
     """
 
     def __init__(self, closure: ClosureIndex,
@@ -81,6 +83,11 @@ class QueryRewriter:
         self._closure = closure
         # Shared by every service thread that queries this schema.
         self._cache = LruMemo(cache_limit, "qa.rewrite_cache")
+        #: Class combination (a frozenset of class names) → is it
+        #: satisfiable?  Filled by the consistency pass of
+        #: :func:`~repro.qa.evaluator.certain_answers`, so a combination
+        #: is probed once per schema, whatever database asserts it.
+        self.consistency_memo = LruMemo(cache_limit, "qa.consistency_cache")
 
     @property
     def closure(self) -> ClosureIndex:

@@ -101,5 +101,25 @@ class TestDriver:
         with pytest.raises(SystemExit) as exit_info:
             driver.main(["--only", "no-such-section"])
         assert exit_info.value.code == 2
-        assert "no section title contains 'no-such-section'" \
+        assert "no section title starts with 'no-such-section'" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keyword, expected", [
+        ("Section 4.4", ["Section 4.4 (hierarchies)"]),
+        ("expansion", ["Expansion pipeline"]),
+        ("theorem 4.1", ["Theorem 4.1"]),
+        ("THEOREM 4.", [f"Theorem 4.{i}" for i in range(1, 7)]),
+    ])
+    def test_only_matches_the_start_of_a_title(self, driver, monkeypatch,
+                                               capsys, keyword, expected):
+        """``expected`` lists the starts of the selected titles."""
+        ran = []
+        monkeypatch.setattr(driver, "SECTIONS", [
+            (title, (lambda title=title: ran.append(title)
+                     or ("t", ["h"], []),))
+            for title, _ in driver.SECTIONS])
+        driver.main(["--only", keyword])
+        capsys.readouterr()
+        assert len(ran) == len(expected), ran
+        assert all(title.startswith(start)
+                   for title, start in zip(ran, expected)), ran

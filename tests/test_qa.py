@@ -19,29 +19,51 @@ are covered by handcrafted cases instead — the rewriter eliminates
 mandatory attribute atoms but has no attribute-filler-typing
 specialization rule, so chase-derived filler memberships would be a
 known scope boundary, not a bug.
+
+Plain evaluation alone (:func:`evaluate_disjuncts`, the indexed join)
+has its own differential against trying every assignment of the body
+variables over the universe.
 """
 
+import collections
 import itertools
 import json
 import random
+import threading
+import time
 
 import pytest
 
-from repro.core.errors import ParseError, SchemaError
+from repro.core.budget import Budget, use_budget
+from repro.core.errors import BudgetExceeded, ParseError, SchemaError
 from repro.engine import EngineConfig
 from repro.engine.session import SchemaSession
+from repro.obs.tracer import Tracer, use_tracer
 from repro.parser.parser import parse_schema
 from repro.qa import (
+    AttributeAtom,
     ClassAtom,
+    ConjunctiveQuery,
+    Const,
     QueryRewriter,
     QueryValidationError,
+    RelationAtom,
+    Var,
     certain_answers,
+    database_from_document,
+    evaluate_disjuncts,
     parse_query,
     render_query,
 )
 from repro.qa.ast import canonical_query
 from repro.reasoner.satisfiability import Reasoner
 from repro.semantics.database import Database
+from repro.semantics.interpretation import Interpretation, LabeledTuple
+from repro.workloads.query_workloads import (
+    chain_queries,
+    sample_database,
+    taxonomy_schema,
+)
 
 NAIVE = EngineConfig(strategy="naive")
 
@@ -291,6 +313,176 @@ class TestCertainAnswersHandcrafted:
                               work_rewriter, Database(work_schema))
         assert answer.answers == ()
         assert not answer.inconsistent
+
+
+# ----------------------------------------------------------------------
+# Evaluation: the indexed join against a brute-force reference
+# ----------------------------------------------------------------------
+#: Relation symbol → declared roles, deliberately not in sorted order
+#: (labeled tuples store their roles sorted).
+EVAL_RELATIONS = {"R": ("to", "from"), "S": ("c", "a", "b")}
+EVAL_OBJECTS = ("o0", "o1", "o2", "o3")
+EVAL_VARS = tuple(Var(name) for name in "xyzw")
+
+
+def _random_interpretation(rng):
+    classes = {name: {obj for obj in EVAL_OBJECTS if rng.random() < 0.5}
+               for name in ("A", "B")}
+    attributes = {"f": {(rng.choice(EVAL_OBJECTS), rng.choice(EVAL_OBJECTS))
+                        for _ in range(rng.randint(0, 6))}}
+    relations = {
+        name: {LabeledTuple({role: rng.choice(EVAL_OBJECTS)
+                             for role in roles})
+               for _ in range(rng.randint(0, 7))}
+        for name, roles in EVAL_RELATIONS.items()}
+    return Interpretation(EVAL_OBJECTS, classes, attributes, relations)
+
+
+def _random_eval_query(rng, seen):
+    """A random CQ over the evaluation alphabet; ``seen`` counts the
+    features the differential must cover."""
+    def term():
+        if rng.random() < 0.15:
+            seen["constant"] += 1
+            # "zz" names no object of the universe.
+            return Const(rng.choice(EVAL_OBJECTS + ("zz",)))
+        return rng.choice(EVAL_VARS)
+
+    atoms = []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(("class", "attribute", "R", "S"))
+        if kind == "class":
+            atom = ClassAtom(rng.choice(("A", "B")), term())
+        elif kind == "attribute":
+            seen["attribute"] += 1
+            atom = AttributeAtom("f", term(), term())
+        else:
+            roles = EVAL_RELATIONS[kind]
+            if kind == "S" and rng.random() < 0.5:
+                seen["permuted roles"] += 1
+                roles = tuple(rng.sample(roles, len(roles)))
+            atom = RelationAtom(kind, roles,
+                                tuple(term() for _ in roles))
+        variables = [t for t in atom.terms() if isinstance(t, Var)]
+        if len(set(variables)) < len(variables):
+            seen["repeated variable"] += 1
+        atoms.append(atom)
+    body = list(dict.fromkeys(t for atom in atoms for t in atom.terms()
+                              if isinstance(t, Var)))
+    head = tuple(rng.sample(body, rng.randint(0, min(2, len(body)))))
+    if not head:
+        seen["boolean"] += 1
+    if _disconnected(atoms):
+        seen["disconnected"] += 1
+    return ConjunctiveQuery(head, tuple(atoms))
+
+
+def _disconnected(atoms):
+    """Do the atoms fall into several groups sharing no variable?"""
+    groups = []
+    for atom in atoms:
+        variables = {t for t in atom.terms() if isinstance(t, Var)}
+        joined = [g for g in groups if g & variables]
+        groups = [g for g in groups if not g & variables]
+        groups.append(variables.union(*joined))
+    return len(groups) > 1
+
+
+def _brute_force(query, interpretation):
+    """Every assignment of the body variables over the universe that
+    makes every atom true, projected onto the head."""
+    variables = sorted({t for atom in query.atoms for t in atom.terms()
+                        if isinstance(t, Var)}, key=str)
+    universe = sorted(interpretation.universe)
+
+    def value(term, assignment):
+        return term.value if isinstance(term, Const) else assignment[term]
+
+    def holds(atom, assignment):
+        values = [value(t, assignment) for t in atom.terms()]
+        if isinstance(atom, ClassAtom):
+            return values[0] in interpretation.class_ext(atom.name)
+        if isinstance(atom, AttributeAtom):
+            return tuple(values) in interpretation.attribute_ext(atom.name)
+        return (LabeledTuple(dict(zip(atom.roles, values)))
+                in interpretation.relation_ext(atom.name))
+
+    answers = set()
+    for values in itertools.product(universe, repeat=len(variables)):
+        assignment = dict(zip(variables, values))
+        if all(holds(atom, assignment) for atom in query.atoms):
+            answers.add(tuple(assignment[var] for var in query.head))
+    return answers
+
+
+class TestEvaluationDifferential:
+    def test_indexed_join_matches_brute_force(self):
+        rng = random.Random(2718)
+        seen = collections.Counter()
+        for case in range(2000):
+            interpretation = _random_interpretation(rng)
+            union = [_random_eval_query(rng, seen)
+                     for _ in range(rng.randint(1, 3))]
+            expected = set().union(*(_brute_force(query, interpretation)
+                                     for query in union))
+            assert evaluate_disjuncts(union, interpretation) == expected, (
+                case, [render_query(query) for query in union])
+        for feature in ("constant", "attribute", "permuted roles",
+                        "repeated variable", "boolean", "disconnected"):
+            assert seen[feature] >= 100, (feature, seen)
+
+    def test_step_budget_trips_inside_evaluation(self):
+        schema = taxonomy_schema(2, 2)
+        _, rewriter = _rewriter_for(schema)
+        source = chain_queries(schema, 5, 2, seed=3)[0]
+        rewrite = rewriter.rewrite(parse_query(source, schema))
+        snapshot = database_from_document(
+            schema, sample_database(schema, 1600, seed=1)).snapshot()
+        budget = Budget(max_steps=1000)
+        with use_budget(budget), pytest.raises(BudgetExceeded):
+            evaluate_disjuncts(rewrite.disjuncts, snapshot)
+        assert budget.steps > 1000
+
+
+class TestCertainAnswersPasses:
+    def test_one_snapshot_per_call(self, work_schema, work_rewriter,
+                                   monkeypatch):
+        calls = []
+        snapshot = Database.snapshot
+        monkeypatch.setattr(Database, "snapshot", lambda db: (
+            calls.append(db), snapshot(db))[1])
+        reasoner, rewriter = work_rewriter
+        certain_answers(rewriter, parse_query("q(x) :- Person(x)",
+                                              work_schema),
+                        _work_database(work_schema), reasoner=reasoner)
+        assert len(calls) == 1
+
+    def test_class_combinations_are_probed_once_per_schema(
+            self, work_schema, monkeypatch):
+        reasoner, rewriter = _rewriter_for(work_schema)
+        probes = []
+        probe = Reasoner.is_formula_satisfiable
+        monkeypatch.setattr(Reasoner, "is_formula_satisfiable",
+                            lambda self, formula: (
+                                probes.append(formula),
+                                probe(self, formula))[1])
+        query = parse_query("q(x) :- Person(x)", work_schema)
+        certain_answers(rewriter, query, _work_database(work_schema),
+                        reasoner=reasoner)
+        assert len(probes) == 2  # {Employee} and {Dept}
+        other = Database(work_schema)
+        other.insert("carol", "Employee")
+        other.insert("d1", "Dept")
+        other.insert("d2", "Dept")
+        tracer = Tracer()
+        with use_tracer(tracer):
+            certain_answers(rewriter, query, other, reasoner=reasoner)
+        assert len(probes) == 2
+        assert tracer.counters["qa.consistency_cache_hits"] == 2
+        assert "qa.consistency_cache_misses" not in tracer.counters
+        assert [span.name for span in tracer.spans].count(
+            "qa.consistency") == 1
+        assert tracer.counters["qa.rows_probed"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -607,6 +799,62 @@ class TestSessionIntegration:
         warm = session.query(schema, "q(z) :- Person(z)", database)
         assert warm.rewrite_cached
         assert set(warm.answers) == set(cold.answers)
+
+    def test_concurrent_first_queries_build_the_closure_once(
+            self, tmp_path, count_calls, race, monkeypatch):
+        from repro.engine.artifact import ArtifactCache
+        from repro.qa.closure import build_closure_index
+
+        builds = count_calls(build_closure_index)
+        with_closure = []
+        store = ArtifactCache.store
+        monkeypatch.setattr(ArtifactCache, "store", lambda cache, artifact: (
+            with_closure.append(artifact.closure is not None),
+            store(cache, artifact))[1])
+        session = SchemaSession(EngineConfig(artifact_dir=str(tmp_path)))
+        schema = taxonomy_schema(2, 2)
+
+        def work(_):
+            session.query(schema, "q(x) :- T(x)")
+
+        assert race(work, threads=4) == []
+        assert len(builds) == 1
+        assert with_closure.count(True) == 1
+
+    def test_deadline_bounds_the_wait_behind_a_build(self, monkeypatch):
+        from repro.qa import closure
+
+        started, release = threading.Event(), threading.Event()
+        builds = []
+        build = closure.build_closure_index
+
+        def held_build(reasoner):
+            builds.append(reasoner)
+            started.set()
+            release.wait(timeout=10)
+            return build(reasoner)
+
+        monkeypatch.setattr(closure, "build_closure_index", held_build)
+        session = SchemaSession()
+        schema = parse_schema(WORK_SCHEMA_SOURCE)
+        session.reasoner(schema)
+        first_query = threading.Thread(target=session.query,
+                                       args=(schema, "q(x) :- Person(x)"))
+        first_query.start()
+        try:
+            assert started.wait(timeout=10)
+            waited_from = time.monotonic()
+            with use_budget(Budget(deadline=0.05)), \
+                    pytest.raises(BudgetExceeded):
+                session.query(schema, "q(x) :- Employee(x)")
+            # Raised while the build was still held, not after it.
+            assert time.monotonic() - waited_from < 5
+        finally:
+            release.set()
+            first_query.join(timeout=10)
+        assert not first_query.is_alive()
+        session.query(schema, "q(x) :- Employee(x)")
+        assert len(builds) == 1
 
 
 class TestCliQuery:

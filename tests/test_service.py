@@ -904,27 +904,27 @@ class TestServeCommand:
         src = str((os.path.dirname(os.path.dirname(__file__))) + "/src")
         env = dict(os.environ)
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=env)
-        try:
-            banner = proc.stdout.readline()
-            match = re.search(r"http://([\d.]+):(\d+)", banner)
-            assert match, f"no address in banner: {banner!r}"
-            base = f"http://{match.group(1)}:{match.group(2)}"
-            status, payload = _http(base, "POST", "/v1/satisfiable",
-                                    {"schema": DISJOINT_SCHEMA,
-                                     "formula": "A"})
-            assert status == 200
-            assert unwrap(payload, status=status)["verdict"] is True
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=15) == 0
-            assert "shutdown complete" in proc.stderr.read()
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=5)
+        with subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--port", "0"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=env) as proc:
+            try:
+                banner = proc.stdout.readline()
+                match = re.search(r"http://([\d.]+):(\d+)", banner)
+                assert match, f"no address in banner: {banner!r}"
+                base = f"http://{match.group(1)}:{match.group(2)}"
+                status, payload = _http(base, "POST", "/v1/satisfiable",
+                                        {"schema": DISJOINT_SCHEMA,
+                                         "formula": "A"})
+                assert status == 200
+                assert unwrap(payload, status=status)["verdict"] is True
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=15) == 0
+                assert "shutdown complete" in proc.stderr.read()
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=5)
 
     def test_serve_is_listed_in_help(self, capsys):
         with pytest.raises(SystemExit):
