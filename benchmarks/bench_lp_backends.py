@@ -18,7 +18,10 @@ measure the rows their bars need with the same table functions:
   stays under a quadratic envelope over the whole sweep;
 * hierarchy systems answer through the Section 4.4 closed form, which
   the exact backends try before the simplex on every round, with
-  **zero** simplex pivots and the support of a plain LP.
+  **zero** simplex pivots and the support of a plain LP;
+* so do wide-attribute systems, whose compound attributes each sit in
+  two bound entries (an attribute and its inverse): the certificate gives
+  such a summand the least of its shares.
 """
 
 import pytest
@@ -30,7 +33,7 @@ from repro.linear.backends import grouped_columns, solve_sparse_groups
 from repro.linear.support import acceptable_support
 from repro.linear.system import build_system
 from repro.obs.tracer import Tracer, use_tracer
-from repro.workloads.generators import hierarchy_schema
+from repro.workloads.generators import hierarchy_schema, wide_attribute_schema
 from tests.dense_reference import DenseReference
 
 #: The sparse backend must beat the dense reference by at least this
@@ -46,6 +49,11 @@ DENSE_COMPARISON_CLUSTERS = 64
 
 #: The hierarchy sweep (depth, branching), attributes on, seed 9.
 HIERARCHIES = ((3, 3), (4, 3), (5, 3))
+
+#: The coupled sweep: ``wide_attribute_schema(n)`` specializations.
+#: perfbench's ``cold_check`` draws n from 6 to 14; at 20, |Psi_S| is
+#: about twice its largest.
+WIDE_SIZES = (6, 10, 14, 20)
 
 
 def backends_table(clusters=CLUSTERS, dense: bool = True) -> Table:
@@ -71,33 +79,53 @@ def backends_table(clusters=CLUSTERS, dense: bool = True) -> Table:
          "exact-sparse s", "speedup"], rows)
 
 
+def _certificate_row(system) -> tuple:
+    """``(|Psi_S|, LP pivots, sparse LP s, closed form s)`` for one system
+    the certificate must answer: every round with zero pivots, finding the
+    support of ``float-fallback``, which runs only its own LP."""
+    # The sparse simplex alone: the backend would take the certificate.
+    lp_metrics: dict = {}
+    lp_s, _ = timed(lambda: solve_sparse_groups(
+        *grouped_columns(system, list(range(system.n_unknowns()))),
+        lp_metrics))
+    tracer = Tracer()
+    with use_tracer(tracer):
+        closed_s, closed = timed(lambda: acceptable_support(
+            system, backend="exact-sparse"))
+    assert closed.backend_used == "closed-form"
+    assert tracer.counters.get("lp.hierarchy_closed_form", 0) >= 1
+    assert tracer.counters.get("lp.pivots", 0) == 0
+    assert closed.support == acceptable_support(
+        system, backend="float-fallback").support
+    return (system.size(), lp_metrics.get("lp.pivots", 0), lp_s, closed_s)
+
+
 def closed_form_table(shapes=HIERARCHIES) -> Table:
     """The Section 4.4 certificate vs one raw sparse LP solve on
-    hierarchy systems.  The certificate must answer every round with zero
-    pivots and find the support of ``float-fallback``, which runs only its
-    own LP."""
+    hierarchy systems."""
     rows = []
     for depth, branching in shapes:
         system = build_system(build_expansion(hierarchy_schema(
             depth, branching, with_attributes=True, seed=9)))
-        # The sparse simplex alone: the backend would take the certificate.
-        lp_metrics: dict = {}
-        lp_s, _ = timed(lambda s=system: solve_sparse_groups(
-            *grouped_columns(s, list(range(s.n_unknowns()))), lp_metrics))
-        tracer = Tracer()
-        with use_tracer(tracer):
-            closed_s, closed = timed(lambda s=system: acceptable_support(
-                s, backend="exact-sparse"))
-        assert closed.backend_used == "closed-form"
-        assert tracer.counters.get("lp.hierarchy_closed_form", 0) >= 1
-        assert tracer.counters.get("lp.pivots", 0) == 0
-        assert closed.support == acceptable_support(
-            system, backend="float-fallback").support
-        rows.append((f"{depth}x{branching}", system.size(),
-                     lp_metrics.get("lp.pivots", 0), lp_s, closed_s))
+        rows.append((f"{depth}x{branching}", *_certificate_row(system)))
     return Table(
         "Section 4.4 closed form vs sparse LP on hierarchies",
         ["hierarchy", "|Psi_S|", "LP pivots", "sparse LP s",
+         "closed form s"], rows)
+
+
+def coupled_table(sizes=WIDE_SIZES) -> Table:
+    """The Section 4.4 certificate vs one raw sparse LP solve on
+    wide-attribute systems, where every compound attribute sits in the
+    entries of both its endpoints."""
+    rows = []
+    for n in sizes:
+        system = build_system(build_expansion(wide_attribute_schema(n)))
+        rows.append((n, *_certificate_row(system)))
+    return Table(
+        "Section 4.4 closed form vs sparse LP on coupled entries "
+        "(wide attribute and inverse)",
+        ["specializations", "|Psi_S|", "LP pivots", "sparse LP s",
          "closed form s"], rows)
 
 
@@ -127,3 +155,11 @@ def test_hierarchy_closed_form_has_zero_pivots(benchmark):
     """§4.4: hierarchy systems skip the simplex entirely."""
     [row] = run_table(benchmark, closed_form_table, ((4, 3),))
     assert row[2] > 0  # the plain LP does pivot on the same system
+
+
+@pytest.mark.experiment("lp-backends")
+def test_coupled_entries_take_the_certificate(benchmark):
+    """An attribute with its inverse no longer sends a round to the
+    simplex when the coupled populations may be equal."""
+    rows = run_table(benchmark, coupled_table)
+    assert all(row[2] > 0 for row in rows)  # the plain LP does pivot

@@ -86,7 +86,7 @@ SECTIONS = [
     ("Registry revalidation (delta rebuild vs cold)",
      (registry.revalidation_table, registry.put_table)),
     ("LP backends (sparse fraction-free vs dense exact, Section 4.4)",
-     (lp.backends_table, lp.closed_form_table)),
+     (lp.backends_table, lp.closed_form_table, lp.coupled_table)),
     ("Ablations",
      (ablations.support_toggles_table, ablations.binding_filter_table)),
 ]

@@ -39,10 +39,11 @@ the support question has a closed-form answer.  After the propagation
 rules reach their fixpoint, every surviving unknown is supportable, and
 :func:`hierarchy_witness` *constructs* the certifying solution directly
 (classes at 1, each cardinality entry's live summands sharing the entry's
-feasible mass) and re-verifies it against every disequation exactly.  The
-exact backends try it on every round, whatever the schema's shape:
-soundness rests on the verification, not on any hierarchy detection, so
-a system the construction does not fit simply goes to the simplex.
+feasible mass, a summand of several entries taking the least share) and
+re-verifies it against every disequation exactly.  The exact backends try
+it on every round, whatever the schema's shape: soundness rests on the
+verification, not on any hierarchy detection, so a system the
+construction does not fit simply goes to the simplex.
 """
 
 from __future__ import annotations
@@ -442,6 +443,18 @@ def solve_max_support_sparse(groups, rows) -> tuple[list[Fraction], int]:
 # ----------------------------------------------------------------------
 # Section 4.4: the hierarchy closed form
 # ----------------------------------------------------------------------
+class AcceptableIndices(list):
+    """Candidate indices whose caller vouches that they are closed under
+    acceptability: every endpoint of a member is a member.
+
+    :func:`~repro.linear.support.acceptable_support` passes each round's
+    candidates as this type right after its propagation fixpoint, which
+    establishes exactly that, and :func:`hierarchy_witness` then skips its
+    own check.  It is a ``list``, so backends that take the documented
+    ``Sequence[int]`` see no difference; a derived sequence (a slice, a
+    filtered copy) is a plain ``list`` and carries no vouch."""
+
+
 def hierarchy_witness(system: PsiSystem,
                       active: Sequence[int]) -> Optional[dict[int, Fraction]]:
     """Construct-and-verify the §4.4 closed-form answer.
@@ -451,10 +464,11 @@ def hierarchy_witness(system: PsiSystem,
     is directly constructible: each compound class counts 1 object, and the
     live summands of each ``Natt``/``Nrel`` entry share the entry's
     feasible mass (the upper bound when finite, else ``max(lower, 1)``)
-    equally.  The construction applies when each active compound unknown is
-    governed by at most one bound entry — true of hierarchy-shaped systems,
-    where attributes have no inverse declarations and no relations exist,
-    and of many others (an isa-only system has no rows at all).  The exact
+    equally.  A summand that sits in several bound entries — a compound
+    attribute under both its attribute and the inverse, a compound
+    relation under each of its roles — takes the least of those entries'
+    shares, which keeps every upper row and leaves the lower rows to the
+    check; it passes when the coupled populations may be equal.  The exact
     backends call it on every round with candidates, before the simplex.
 
     Returns the witness only after **exact verification** against every
@@ -464,15 +478,19 @@ def hierarchy_witness(system: PsiSystem,
     verdict, only skip the solver.  The verification runs in integers, on
     the witness scaled by the lcm of the live-summand counts (every share
     ``mass / count`` becomes whole); ``Ψ_S`` is homogeneous, so scaling
-    keeps every row's sign.
+    keeps every row's sign.  Acceptability is checked here unless
+    ``active`` is an :class:`AcceptableIndices`, whose caller has already
+    established it.
     """
     active_set = set(active)
-    for index in active_set:
-        if any(endpoint not in active_set
-               for endpoint in system.endpoints_of(index)):
-            return None  # acceptability not yet propagated; let the LP pin
+    if not isinstance(active, AcceptableIndices):
+        for index in active_set:
+            if any(endpoint not in active_set
+                   for endpoint in system.endpoints_of(index)):
+                return None  # acceptability not yet propagated; let the LP pin
     shares: list[tuple[tuple[int, ...], int]] = []  # (live summands, mass)
     assigned: set[int] = set()
+    coupled = False
     for class_index, summands, card, _origin in bound_entries(system):
         live = tuple(s for s in summands if s in active_set)
         if not live:
@@ -490,19 +508,21 @@ def hierarchy_witness(system: PsiSystem,
         mass = card.upper if card.upper is not INFINITY else max(card.lower, 1)
         if mass <= 0:
             return None
-        for s in live:
-            if s in assigned:
-                return None  # coupled entries (inverses/relations): use LP
-            assigned.add(s)
+        if not coupled and not assigned.isdisjoint(live):
+            coupled = True
+        assigned.update(live)
         shares.append((live, mass))
     # The safety net making the closed form unconditionally sound: every
     # disequation re-checked exactly, like any other backend certificate.
     scale = lcm(*(len(live) for live, _mass in shares))
+    scaled_shares = [(live, mass * scale // len(live)) for live, mass in shares]
+    if coupled:
+        # Largest share first, so each shared summand ends on its least.
+        scaled_shares.sort(key=lambda item: item[1], reverse=True)
     scaled = [0] * system.n_unknowns()
     for index in active_set:
         scaled[index] = scale  # classes and unconstrained compounds: 1
-    for live, mass in shares:
-        share = mass * scale // len(live)
+    for live, share in scaled_shares:
         for s in live:
             scaled[s] = share
     for constraint in system.constraints:
@@ -512,8 +532,8 @@ def hierarchy_witness(system: PsiSystem,
         if total > 0:
             return None
     values = dict.fromkeys(active_set, Fraction(1))
-    for live, mass in shares:
-        share = Fraction(mass, len(live))
+    for live, share in scaled_shares:
+        value = Fraction(share, scale)
         for s in live:
-            values[s] = share
+            values[s] = value
     return values

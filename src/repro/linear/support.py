@@ -58,7 +58,7 @@ from .backends import (
     rationalize_verified,
     verify_rows,
 )
-from .sparse import OPTIMAL, solve_sparse_lp
+from .sparse import OPTIMAL, AcceptableIndices, solve_sparse_lp
 from .system import PsiSystem, Unknown, bound_entries, build_system
 
 __all__ = ["SupportResult", "acceptable_support", "minimize_witness", "PinEvent"]
@@ -296,7 +296,12 @@ def acceptable_support(source: Expansion | PsiSystem,
         if use_propagation:
             while _propagate(system, active, entries, log, rounds):
                 pass
-        solution = lp.solve(system, sorted(active),
+            # The fixpoint's last pass pinned nothing, so ``active`` is
+            # closed under acceptability: the certificate need not re-check.
+            candidates = AcceptableIndices(sorted(active))
+        else:
+            candidates = sorted(active)
+        solution = lp.solve(system, candidates,
                             merge_columns=merge_columns)
         for name, amount in solution.metrics.items():
             tracer.add(name, amount)

@@ -120,10 +120,13 @@ class Database:
     # Validation
     # ------------------------------------------------------------------
     def snapshot(self) -> Interpretation:
-        """The current state as an immutable interpretation."""
+        """The current state as an immutable interpretation.
+
+        The mutators keep every extension inside the database's objects,
+        so the snapshot skips the interpretation's containment check."""
         universe = self._objects or {object()}
-        return Interpretation(
-            universe,
+        return Interpretation._trusted(
+            frozenset(universe),
             {name: frozenset(ext) for name, ext in self._classes.items()},
             {name: frozenset(ext) for name, ext in self._attributes.items()},
             {name: frozenset(ext) for name, ext in self._relations.items()},

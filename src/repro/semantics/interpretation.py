@@ -11,8 +11,9 @@ the model synthesizer use small integers or descriptive strings.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import AbstractSet, Hashable, Iterable, Mapping
+from typing import AbstractSet, Hashable, Iterable
 
 from ..core.errors import SemanticsError
 from ..core.formulas import Formula
@@ -101,6 +102,25 @@ class Interpretation:
             name: frozenset(ext) for name, ext in (relations or {}).items()
         }
         self._check_containment()
+
+    @classmethod
+    def _trusted(cls, universe: frozenset[Obj],
+                 classes: dict[str, frozenset[Obj]],
+                 attributes: dict[str, frozenset[tuple[Obj, Obj]]],
+                 relations: dict[str, frozenset[LabeledTuple]]
+                 ) -> "Interpretation":
+        """An interpretation over frozen extensions that the caller
+        guarantees to hold pairs and labeled tuples inside a nonempty
+        ``universe``, built without :meth:`_check_containment`.
+        :meth:`Database.snapshot <repro.semantics.database.Database.snapshot>`
+        is the caller: its mutators refuse objects outside the database,
+        and ``delete`` removes every link and tuple of the object."""
+        interpretation = cls.__new__(cls)
+        interpretation._universe = universe
+        interpretation._classes = classes
+        interpretation._attributes = attributes
+        interpretation._relations = relations
+        return interpretation
 
     def _check_containment(self) -> None:
         for name, ext in self._classes.items():

@@ -1,6 +1,7 @@
 """Schemas for the sparse-vs-dense parity tests of the general LP callers
 (:func:`~repro.linear.ratios.population_ratio_bounds` and
-:func:`~repro.linear.support.minimize_witness`)."""
+:func:`~repro.linear.support.minimize_witness`), and for the tests that
+need a round to reach the simplex."""
 
 from repro.core.cardinality import Card
 from repro.core.formulas import Lit
@@ -30,3 +31,13 @@ SMALL_SCHEMAS = {
     "cycle(3,1)": lambda: cardinality_cycle_schema(3, 1),
     "cycle(4,2)": lambda: cardinality_cycle_schema(4, 2),
 }
+
+
+#: An attribute and its inverse whose populations must differ: ``|D| =
+#: 2·|C|``.  The §4.4 certificate gives the coupled compound attribute the
+#: least of its two shares, 1, which breaks ``C``'s lower bound of 2, so
+#: every round reaches the simplex.
+COUPLED_SOURCE = """
+class C isa not D attributes a : (2, 2) D endclass
+class D attributes (inv a) : (1, 1) C endclass
+"""

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.errors import LinearSystemError
+from repro.core.schema import AttrRef, inv
 from repro.engine import EngineConfig
 from repro.expansion.expansion import build_expansion
 from repro.linear import backends
@@ -35,27 +36,34 @@ from repro.linear.backends import (
     get_backend,
     register_backend,
 )
+from repro.linear.sparse import AcceptableIndices, hierarchy_witness
 from repro.linear.support import acceptable_support
-from repro.linear.system import build_system
+from repro.linear.system import bound_entries, build_system
 from repro.obs.tracer import Tracer, use_tracer
+from repro.parser.parser import parse_schema
 from repro.reasoner.satisfiability import Reasoner
 from repro.workloads.generators import (
     adversarial_schema,
     clustered_schema,
     hierarchy_schema,
     random_schema,
+    wide_attribute_schema,
 )
 from repro.workloads.query_workloads import taxonomy_schema
 
 from .dense_reference import DenseReference
-from .lp_parity import SMALL_SCHEMAS
+from .lp_parity import COUPLED_SOURCE, SMALL_SCHEMAS
 from .strategies import rich_schemas
 
-#: Schemas whose every round reaches the simplex: an attribute and its
-#: inverse put each compound attribute into two bound entries, which the
-#: §4.4 construction refuses.  (cycle(4,2), the fourth, is left out: once
-#: the LP empties every class, its last round is certified.)
-LP_SCHEMAS = tuple(SMALL_SCHEMAS.values())[:3]
+#: Schemas whose every round reaches the simplex: each pairs an attribute
+#: with its inverse, and their populations must differ (a chain level
+#: holds ``fan_out`` times the one before it, and ``COUPLED_SOURCE``'s
+#: ``D`` twice its ``C``), so the least share the §4.4 construction gives
+#: a coupled compound attribute breaks a lower bound.  cycle(3,1), whose
+#: populations are equal, is certified, and so is cycle(4,2)'s last round
+#: once the LP empties every class.
+LP_SCHEMAS = (SMALL_SCHEMAS["chain(3,2)"], SMALL_SCHEMAS["chain(2,3)"],
+              lambda: parse_schema(COUPLED_SOURCE))
 
 
 def lp_system(index: int = 0):
@@ -477,7 +485,7 @@ class TestClosedForm:
     def test_flag_on_non_hierarchy_is_harmless(self):
         """A system the construction does not fit fails the construct-and-
         verify attempt and silently takes the ordinary LP."""
-        system = lp_system(2)
+        system = lp_system(0)
         tracer = Tracer()
         with use_tracer(tracer):
             tried = acceptable_support(system, backend="exact-sparse")
@@ -526,8 +534,7 @@ class TestClosedForm:
         from repro.core.cardinality import Card
         from repro.core.formulas import Clause, Formula, Lit
         from repro.core.schema import Attr, ClassDef, Schema
-        from repro.linear.sparse import hierarchy_witness
-        from repro.linear.system import Constraint, PsiSystem, bound_entries
+        from repro.linear.system import Constraint, PsiSystem
 
         def isa(*lits):
             return Formula(tuple(Clause((lit,)) for lit in lits))
@@ -566,3 +573,125 @@ class TestClosedForm:
         assert tried.backend_used == "exact-sparse"
         assert tried.support == plain.support
         assert len(plain.support) == system.n_unknowns()
+
+
+def _has_inverse_pair(schema) -> bool:
+    refs = {attr.ref for cdef in schema.class_definitions
+            for attr in cdef.attributes}
+    return AttrRef("edge") in refs and inv("edge") in refs
+
+
+def _shares_a_summand(system, support) -> bool:
+    """Whether a supported unknown is a live summand of two bound entries
+    whose classes are supported, so that a round certified over
+    ``support`` gave it the least of its shares."""
+    seen: set[int] = set()
+    for class_index, summands, _card, _origin in bound_entries(system):
+        if class_index not in support:
+            continue
+        live = {s for s in summands if s in support}
+        if not seen.isdisjoint(live):
+            return True
+        seen |= live
+    return False
+
+
+class TestCoupledEntries:
+    """A summand that sits in several bound entries — an attribute under
+    itself and its inverse, a relation under each role — takes the least
+    of their shares.  The exact check still decides, so only rounds whose
+    coupled populations may be equal are certified."""
+
+    #: The sizes the dense reference answers in about a second each; it
+    #: needs 1.6 to 8 s for each larger one.  There the support is
+    #: compared with ``float-fallback``, which runs only its own LP.
+    DENSE_SIZES = range(6, 9)
+
+    @pytest.mark.parametrize("n", range(6, 15))
+    def test_wide_attribute_schemas_are_certified(self, n):
+        system = build_system(build_expansion(wide_attribute_schema(n)))
+        reference = acceptable_support(
+            system, backend=DenseReference() if n in self.DENSE_SIZES
+            else "float-fallback")
+        for name in ("exact-sparse", "auto"):
+            tracer = Tracer()
+            with use_tracer(tracer):
+                result = acceptable_support(system, backend=name)
+            assert result.backend_used == "closed-form"
+            assert tracer.counter("lp.pivots") == 0
+            assert result.support == reference.support
+        assert _shares_a_summand(system, result.support)
+
+    @pytest.mark.parametrize("card, backend_used", (
+        ("(1, 1)", "closed-form"),   # |D| = |C|: the least share fits
+        ("(2, 2)", "exact-sparse"),  # COUPLED_SOURCE: |D| = 2·|C|
+    ))
+    def test_least_share_must_meet_every_lower_bound(self, card,
+                                                     backend_used):
+        source = COUPLED_SOURCE.replace("(2, 2)", card)
+        system = build_system(build_expansion(parse_schema(source)))
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = acceptable_support(system, backend="exact-sparse")
+        assert result.backend_used == backend_used
+        assert (tracer.counter("lp.pivots") > 0) == (
+            backend_used == "exact-sparse")
+        assert result.support == acceptable_support(
+            system, backend=DenseReference()).support
+        assert _shares_a_summand(system, result.support)
+
+    def test_rich_schemas_with_an_inverse_pair(self):
+        """500 seeded draws that declare both ``edge`` and ``(inv edge)``:
+        the exact backends find the dense reference's support, and some
+        draws are certified through a shared summand."""
+        draws = []
+        coupled = []
+
+        @settings(max_examples=500, derandomize=True, database=None,
+                  deadline=None, suppress_health_check=[
+                      HealthCheck.too_slow, HealthCheck.filter_too_much])
+        @given(schema=rich_schemas().filter(_has_inverse_pair))
+        def check(schema):
+            draws.append(schema)
+            system = build_system(build_expansion(schema))
+            reference = acceptable_support(system, backend=DenseReference())
+            for name in ("exact-sparse", "auto"):
+                result = acceptable_support(system, backend=name)
+                assert result.support == reference.support, name
+            if (result.backend_used == "closed-form"
+                    and _shares_a_summand(system, result.support)):
+                coupled.append(schema)
+
+        check()
+        assert len(draws) >= 500
+        assert coupled
+
+    def test_propagated_rounds_vouch_for_acceptability(self):
+        """After its propagation fixpoint, ``acceptable_support`` hands the
+        candidates over as :class:`AcceptableIndices`, and the certificate
+        skips its own acceptability check; without propagation, and on a
+        direct call with a plain list, it still checks."""
+        system = build_system(build_expansion(
+            hierarchy_schema(2, 3, with_attributes=True, seed=5)))
+        seen = []
+
+        class Recording:
+            name = "test-recording"
+
+            def solve(self, system, positive_indices, *, merge_columns=True):
+                seen.append(type(positive_indices))
+                return SparseExactBackend().solve(
+                    system, positive_indices, merge_columns=merge_columns)
+
+        certified = acceptable_support(system, backend=Recording())
+        assert seen == [AcceptableIndices]
+        assert certified.backend_used == "closed-form"
+        seen.clear()
+        unpropagated = acceptable_support(system, backend=Recording(),
+                                          use_propagation=False)
+        assert seen and set(seen) == {list}
+        assert unpropagated.support == certified.support
+        attribute = system.class_unknown_indices().stop
+        endpoint = system.endpoints_of(attribute)[0]
+        assert hierarchy_witness(system, [
+            i for i in range(system.n_unknowns()) if i != endpoint]) is None

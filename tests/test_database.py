@@ -5,6 +5,7 @@ import pytest
 from repro.core.errors import SemanticsError
 from repro.parser.parser import parse_schema
 from repro.semantics.database import Database, IntegrityError
+from repro.semantics.interpretation import Interpretation
 
 
 def university_schema():
@@ -66,6 +67,62 @@ class TestMutations:
         db.delete("p")
         assert "p" not in db
         assert not db.snapshot().attribute_ext("taught_by")
+
+
+def assert_same_state(snapshot, expected):
+    assert snapshot.universe == expected.universe
+    for name in snapshot.mentioned_classes() | expected.mentioned_classes():
+        assert snapshot.class_ext(name) == expected.class_ext(name)
+    for name in (snapshot.mentioned_attributes()
+                 | expected.mentioned_attributes()):
+        assert snapshot.attribute_ext(name) == expected.attribute_ext(name)
+    for name in (snapshot.mentioned_relations()
+                 | expected.mentioned_relations()):
+        assert snapshot.relation_ext(name) == expected.relation_ext(name)
+
+
+class TestSnapshot:
+    """A snapshot skips the containment check, because the mutators keep
+    every extension inside the database; it must still equal the checked
+    interpretation of the same state."""
+
+    def test_snapshot_skips_the_containment_check(self, db, monkeypatch):
+        db.insert("p", "Person", "Professor")
+
+        def refuse(self):
+            raise AssertionError("containment re-checked")
+
+        monkeypatch.setattr(Interpretation, "_check_containment", refuse)
+        assert db.snapshot().class_ext("Person") == {"p"}
+
+    def test_snapshot_after_delete(self, db):
+        db.insert("p", "Person", "Professor")
+        db.insert("c", "Course")
+        db.insert("s", "Person", "Student")
+        db.set_attribute("taught_by", "c", "p")
+        db.add_tuple("Enrollment", enrolled_in="c", enrolls="s")
+        db.delete("s")
+        assert_same_state(db.snapshot(), Interpretation(
+            {"p", "c"},
+            {"Person": {"p"}, "Professor": {"p"}, "Course": {"c"}},
+            {"taught_by": {("c", "p")}}))
+        db.delete("p")
+        assert_same_state(db.snapshot(), Interpretation(
+            {"c"}, {"Course": {"c"}}))
+
+    def test_snapshot_after_a_rolled_back_transaction(self, db):
+        db.insert("p", "Person", "Professor")
+        db.insert("c", "Course")
+        db.set_attribute("taught_by", "c", "p")
+        with pytest.raises(IntegrityError):
+            with db.transaction():
+                db.insert("s", "Student")  # not a Person: isa violation
+                db.add_tuple("Enrollment", enrolled_in="c", enrolls="s")
+                db.delete("p")
+        assert_same_state(db.snapshot(), Interpretation(
+            {"p", "c"},
+            {"Person": {"p"}, "Professor": {"p"}, "Course": {"c"}},
+            {"taught_by": {("c", "p")}}))
 
 
 class TestValidation:

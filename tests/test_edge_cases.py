@@ -98,8 +98,9 @@ class TestSupportIntrospection:
         from repro.expansion.expansion import build_expansion
         from repro.linear.support import acceptable_support
 
-        # An attribute and its inverse: the §4.4 certificate refuses the
-        # coupled entries, so the simplex answers.
+        # An attribute and its inverse with |B| = 2·|A|: the least share
+        # the §4.4 certificate gives the coupled compound attribute breaks
+        # A's lower bound, so the simplex answers.
         schema = parse_schema("""
             class A attributes a : (2, 2) B endclass
             class B attributes (inv a) : (1, 1) A endclass

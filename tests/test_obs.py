@@ -27,6 +27,8 @@ from repro.obs.tracer import (
 from repro.parser.parser import parse_schema
 from repro.reasoner.satisfiability import Reasoner
 
+from .lp_parity import COUPLED_SOURCE
+
 ATTR_SOURCE = """
 class Person isa Top endclass
 class Employee isa Person and not Student
@@ -39,13 +41,6 @@ class Top endclass
 CARD_SOURCE = """
 class C isa not D attributes a : (1, 2) D endclass
 class D endclass
-"""
-
-#: An attribute and its inverse: each compound attribute sits in two
-#: bound entries, which the §4.4 certificate refuses, so the simplex runs.
-COUPLED_SOURCE = """
-class C isa not D attributes a : (2, 2) D endclass
-class D attributes (inv a) : (1, 1) C endclass
 """
 
 
